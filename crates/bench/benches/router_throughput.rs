@@ -22,7 +22,7 @@ use pfr_data::synthetic;
 use pfr_linalg::stats::Standardizer;
 use pfr_opt::LogisticRegression;
 use pfr_router::{LocalCluster, Router, RouterConfig};
-use pfr_serve::{Frontend, ServerConfig};
+use pfr_serve::ServerConfig;
 use std::hint::black_box;
 
 /// Request vectors scored per measured iteration.
@@ -227,7 +227,7 @@ fn bench_router_throughput(c: &mut Criterion) {
     let mut pool_cluster = LocalCluster::boot(
         3,
         ServerConfig {
-            frontend: Frontend::reactor(4),
+            reactors: 4,
             ..ServerConfig::default()
         },
     )

@@ -10,6 +10,12 @@
 //! stream) and records it to `BENCH_serve.json` at the workspace root, the
 //! same way the router bench records `BENCH_router.json` — CI uploads both
 //! and gates on them via `perf_gate`.
+//!
+//! The requests/sec figures (`b1_req_per_sec`, `b64_req_per_sec`) are
+//! **kernel-only**: they time in-process `ServableModel` scoring, with no
+//! socket, parse, cache, queue or router on the path. They are not served
+//! request rates; the end-to-end serving benchmark is `perfbench/` at the
+//! workspace root.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pfr_core::persistence::{ClassifierSection, ModelBundle, StandardizerParams};
@@ -18,7 +24,7 @@ use pfr_data::synthetic;
 use pfr_linalg::stats::Standardizer;
 use pfr_linalg::Matrix;
 use pfr_opt::LogisticRegression;
-use pfr_serve::{Frontend, ScoreCache, ScoreKey, ServableModel, Server, ServerConfig};
+use pfr_serve::{ScoreCache, ScoreKey, ServableModel, Server, ServerConfig};
 use std::hint::black_box;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -105,8 +111,12 @@ fn bench_batched_scoring(c: &mut Criterion) {
     group.finish();
 
     // Explicit requests/sec comparison (the acceptance check for batching),
-    // recorded as the PR-over-PR serving perf trajectory.
-    println!("serve_throughput: requests/sec by batch size over {TOTAL_REQUESTS} requests");
+    // recorded as the PR-over-PR scoring-kernel perf trajectory. Kernel-only:
+    // in-process `ServableModel` calls, not served requests.
+    println!(
+        "serve_throughput: kernel-only requests/sec by batch size over {TOTAL_REQUESTS} requests \
+         (in-process scoring, no serving path)"
+    );
     let mut rps = Vec::new();
     for &batch_size in &[1usize, 8, 64] {
         let requests_per_sec = pfr_bench::measure_rate(20, TOTAL_REQUESTS, || {
@@ -174,7 +184,6 @@ fn bench_batched_scoring(c: &mut Criterion) {
     // machine was slow.
     let limit = 8usize;
     let server = Server::spawn(ServerConfig {
-        frontend: Frontend::reactor(1),
         max_connections: Some(limit),
         ..ServerConfig::default()
     })
@@ -219,6 +228,7 @@ fn bench_batched_scoring(c: &mut Criterion) {
         "serve_throughput",
         &[
             ("requests", TOTAL_REQUESTS as f64),
+            // Kernel-only rates (in-process scoring, not served requests).
             ("b1_req_per_sec", b1),
             ("b64_req_per_sec", b64),
             ("batch_speedup", b64 / b1),

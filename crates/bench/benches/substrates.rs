@@ -1,5 +1,6 @@
 //! Micro-benchmarks of the substrates the PFR pipeline is built from,
-//! including the eigensolver-choice ablation called out in DESIGN.md §6.
+//! including the eigensolver-choice ablation described in
+//! `pfr_eval::experiments`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pfr_bench::{bench_setup, random_symmetric};

@@ -1,12 +1,11 @@
 //! One Criterion benchmark per paper artifact (Table 1, Figures 1–10 and the
-//! three ablations from DESIGN.md).
+//! three ablations described in `pfr_eval::experiments`).
 //!
 //! Each benchmark runs the corresponding `pfr-eval` experiment driver in fast
 //! mode (reduced dataset sizes, same pipeline), so `cargo bench` both
 //! regenerates every row/series the paper reports and measures what it costs.
 //! The rendered tables of the *full-size* runs are produced by
-//! `cargo run --release -p pfr-eval -- --all` and recorded in
-//! `EXPERIMENTS.md`.
+//! `cargo run --release -p pfr-eval -- --all`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pfr_eval::experiments::run_by_name;

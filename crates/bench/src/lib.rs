@@ -6,8 +6,8 @@
 //!
 //! * `substrates` — micro-benchmarks of the building blocks (eigensolvers,
 //!   k-NN graph construction, Laplacian quadratic forms, logistic
-//!   regression), including the eigensolver-choice ablation from
-//!   `DESIGN.md` §6.
+//!   regression), including the eigensolver-choice ablation described in
+//!   `pfr_eval::experiments`.
 //! * `tables_and_figures` — one benchmark per paper artifact (Table 1,
 //!   Figures 1–10 and the three ablations), each running the corresponding
 //!   experiment driver from `pfr-eval` in fast mode so that `cargo bench`

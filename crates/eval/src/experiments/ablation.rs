@@ -1,14 +1,6 @@
-//! Ablation experiments (DESIGN.md §4 items A1–A3, §6).
-//!
-//! * **A1 — fairness-graph sparsity**: the paper stresses that pairwise
-//!   judgments may only be available for a sparse sample of pairs. This
-//!   ablation subsamples the fairness-graph edges at decreasing rates and
-//!   measures how PFR's fairness consistency degrades.
-//! * **A2 — kernel vs. linear PFR**: the paper's Section 3.3.4 extension,
-//!   compared against linear PFR on the synthetic data.
-//! * **A3 — quantile granularity**: the number of quantile buckets `k` used
-//!   by the between-group fairness graph (Definition 3) on the COMPAS-like
-//!   data.
+//! Ablation experiments A1–A3 (fairness-graph sparsity, kernel vs. linear
+//! PFR, quantile granularity); the [`experiments`](super) module docs
+//! describe what each one sweeps and why.
 
 use crate::methods::default_pfr_config;
 use crate::pipeline::{evaluate_representation, prepare, DatasetSpec, PipelineConfig};

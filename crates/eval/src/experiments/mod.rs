@@ -1,9 +1,32 @@
-//! Experiment drivers — one per table / figure of the paper plus the
-//! ablations listed in `DESIGN.md` §4/§6.
+//! Experiment drivers — one per table / figure of the paper plus three
+//! ablations of the reproduction's own design choices.
 //!
 //! Every driver returns structured results *and* can render them as a text
 //! table, so the same code backs the `pfr-eval` binary, the integration tests
-//! and the Criterion benches.
+//! and the Criterion benches. The measured numbers come from
+//! `cargo run --release -p pfr-eval -- --all`.
+//!
+//! # Ablations
+//!
+//! The drivers in [`ablation`] sweep one parameter each and report AUC and
+//! consistency w.r.t. `WX` and `WF` on the test split:
+//!
+//! * **A1 — fairness-graph sparsity** (`ablation-sparsity`): the paper
+//!   stresses that pairwise judgments may only exist for a sparse sample of
+//!   pairs; the fairness-graph edges are subsampled at decreasing rates to
+//!   see how PFR's fairness consistency degrades.
+//! * **A2 — kernel vs. linear PFR** (`ablation-kernel`): the paper's
+//!   Section 3.3.4 kernel extension against linear PFR on the synthetic
+//!   data.
+//! * **A3 — quantile granularity** (`ablation-quantiles`): the number of
+//!   quantile buckets `k` of the between-group fairness graph (Definition 3)
+//!   on the COMPAS-like data.
+//!
+//! A fourth ablation is a cost comparison rather than an experiment: the
+//! choice of eigensolver for PFR's generalized eigenproblem (cyclic Jacobi
+//! against Householder tridiagonalization + implicit QL, see
+//! `pfr_linalg::EigenMethod`). Both produce the same spectrum; the
+//! `substrates` bench of `pfr-bench` times them side by side.
 
 pub mod ablation;
 pub mod gamma;

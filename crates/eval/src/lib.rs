@@ -16,8 +16,8 @@
 //!
 //! Every table and figure of the paper has a driver in [`experiments`]; the
 //! `pfr-eval` binary exposes them on the command line and `pfr-bench` wraps
-//! them in Criterion benches. `EXPERIMENTS.md` records the measured numbers
-//! next to the paper's.
+//! them in Criterion benches. `pfr-eval --all` prints the full-size
+//! numbers.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

@@ -1,8 +1,7 @@
 //! Plain-text table rendering for the experiment drivers.
 //!
 //! Experiments return structured rows; this module turns them into the
-//! aligned ASCII tables printed by the `pfr-eval` binary (and captured in
-//! `EXPERIMENTS.md`).
+//! aligned ASCII tables printed by the `pfr-eval` binary.
 
 /// A simple column-aligned text table.
 #[derive(Debug, Clone, Default)]

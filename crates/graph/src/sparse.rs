@@ -29,7 +29,8 @@ pub enum LaplacianKind {
     #[default]
     Unnormalized,
     /// `L = I - D^{-1/2} W D^{-1/2}`, the symmetric normalized Laplacian
-    /// (provided for the ablation in DESIGN.md §6).
+    /// (an alternative the `substrates` bench of `pfr-bench` times against
+    /// the unnormalized form).
     SymmetricNormalized,
 }
 

@@ -16,8 +16,7 @@
 //!   [`optimizer::Objective`].
 //!
 //! The original implementations rely on `scipy.optimize` / L-BFGS; Adam with
-//! the same iteration budgets reproduces the qualitative behaviour (see
-//! DESIGN.md §3).
+//! the same iteration budgets reproduces the qualitative behaviour.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

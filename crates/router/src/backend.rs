@@ -1,5 +1,5 @@
-//! One routed-to backend: its transport (blocking connection pool or
-//! shared reactor client) and its circuit breaker.
+//! One routed-to backend: its handle on the shared reactor client and its
+//! circuit breaker.
 //!
 //! The breaker is the router's memory of backend failures. It closes (lets
 //! traffic through) while a backend behaves, opens (ejects the backend from
@@ -10,7 +10,6 @@
 //! backend dying under traffic is ejected after K failed requests even
 //! before the next probe runs.
 
-use crate::conn::{ConnConfig, ConnPool};
 use pfr_net::{ClientDriver, Ticket};
 use pfr_obs::LatencyHisto;
 use std::net::SocketAddr;
@@ -143,24 +142,15 @@ impl CircuitBreaker {
     }
 }
 
-/// How a backend's protocol traffic is carried.
-///
-/// `Pool` is the original blocking path: pooled sockets, one OS thread
-/// blocked per in-flight exchange. `Driver` multiplexes every backend's
-/// traffic over one shared `pfr-net` reactor thread, so N concurrent
-/// exchanges (a scatter to N replicas) cost zero additional threads.
-#[derive(Debug)]
-enum Transport {
-    Pool(ConnPool),
-    Driver(Arc<ClientDriver>),
-}
-
 /// One backend of the routing tier.
 #[derive(Debug)]
 pub struct Backend {
     id: usize,
     addr: SocketAddr,
-    transport: Transport,
+    /// The shared `pfr-net` event loop every backend's traffic rides, so
+    /// N concurrent exchanges (a scatter to N replicas) cost zero
+    /// additional threads.
+    driver: Arc<ClientDriver>,
     breaker: CircuitBreaker,
     /// Router-observed exchange latency (submit to settled response),
     /// including queueing in the transport — the client-side complement
@@ -170,21 +160,9 @@ pub struct Backend {
 }
 
 impl Backend {
-    /// A backend carried by blocking pooled connections, with a closed
-    /// breaker (the thread-per-exchange transport).
-    pub fn new(id: usize, addr: SocketAddr, conn: ConnConfig, breaker: BreakerConfig) -> Self {
-        Backend {
-            id,
-            addr,
-            transport: Transport::Pool(ConnPool::new(addr, conn)),
-            breaker: CircuitBreaker::new(breaker),
-            latency: Arc::new(LatencyHisto::new()),
-        }
-    }
-
     /// A backend carried by a shared reactor client, with a closed breaker.
     /// Deadlines (connect and io) come from the driver's `ClientConfig`.
-    pub fn with_driver(
+    pub fn new(
         id: usize,
         addr: SocketAddr,
         driver: Arc<ClientDriver>,
@@ -193,7 +171,7 @@ impl Backend {
         Backend {
             id,
             addr,
-            transport: Transport::Driver(driver),
+            driver,
             breaker: CircuitBreaker::new(breaker),
             latency: Arc::new(LatencyHisto::new()),
         }
@@ -228,29 +206,19 @@ impl Backend {
 
     /// Drops every idle connection to this backend (pooled sockets to a
     /// dead backend are all equally broken). Public so a router can retire
-    /// the pools of a backend it just removed from the ring.
+    /// the connections of a backend it just removed from the ring.
     pub fn drain_idle(&self) {
-        match &self.transport {
-            Transport::Pool(pool) => pool.drain(),
-            Transport::Driver(driver) => driver.drain(self.addr),
-        }
+        self.driver.drain(self.addr);
     }
 
     /// One transport-level frame submission — the single funnel **every**
     /// exchange on this backend (bursts, pushes, probes) goes through:
-    /// `bytes` out, `expect` response lines back as a [`Ticket`]. With the
-    /// reactor transport the frame rides the shared event loop and the
-    /// ticket resolves asynchronously; with the pool transport the exchange
-    /// runs inline (blocking) and the ticket comes back already resolved —
-    /// semantics are identical either way. The ticket's result **has not**
-    /// touched the breaker: pass it through [`Backend::settle_burst`].
+    /// `bytes` out, `expect` response lines back as a [`Ticket`] that
+    /// resolves once the shared event loop has gathered the responses.
+    /// The ticket's result **has not** touched the breaker: pass it
+    /// through [`Backend::settle_burst`].
     pub fn submit_frame(&self, bytes: Vec<u8>, expect: usize) -> std::io::Result<Ticket> {
-        match &self.transport {
-            Transport::Driver(driver) => driver.submit_frame(self.addr, bytes, expect),
-            Transport::Pool(pool) => Ok(Ticket::ready(
-                pool.run(|conn| conn.exchange_frame(&bytes, expect)),
-            )),
-        }
+        self.driver.submit_frame(self.addr, bytes, expect)
     }
 
     /// The queued twin of [`Backend::submit_frame`]: the result lands
@@ -265,15 +233,11 @@ impl Backend {
         queue: &pfr_net::CompletionQueue,
         tag: u64,
     ) {
-        match &self.transport {
-            Transport::Driver(driver) => {
-                if let Err(e) = driver.submit_frame_queued(self.addr, bytes, expect, queue, tag) {
-                    queue.push(tag, Err(e));
-                }
-            }
-            Transport::Pool(pool) => {
-                queue.push(tag, pool.run(|conn| conn.exchange_frame(&bytes, expect)));
-            }
+        if let Err(e) = self
+            .driver
+            .submit_frame_queued(self.addr, bytes, expect, queue, tag)
+        {
+            queue.push(tag, Err(e));
         }
     }
 
@@ -307,7 +271,7 @@ impl Backend {
     /// The frame is validated *before* anything is written: if the server
     /// rejected the header (whitespace in the name, payload outside the
     /// protocol bound), the already-written payload bytes would be parsed
-    /// as request lines — desyncing the pooled connection so every later
+    /// as request lines — desyncing the connection so every later
     /// response on it would answer the wrong request.
     pub fn push(&self, name: &str, bundle_text: &str) -> std::io::Result<String> {
         self.push_traced(name, bundle_text, None)
@@ -441,6 +405,11 @@ impl Backend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conn::ConnConfig;
+
+    fn driver(conn: ConnConfig) -> Arc<ClientDriver> {
+        Arc::new(ClientDriver::spawn(conn.into()).unwrap())
+    }
 
     fn breaker(threshold: u32, probation_ms: u64) -> CircuitBreaker {
         CircuitBreaker::new(BreakerConfig {
@@ -511,7 +480,12 @@ mod tests {
         // never hears about it — these are caller errors, not backend
         // failures).
         let addr = "127.0.0.1:1".parse().unwrap();
-        let backend = Backend::new(0, addr, ConnConfig::default(), BreakerConfig::default());
+        let backend = Backend::new(
+            0,
+            addr,
+            driver(ConnConfig::default()),
+            BreakerConfig::default(),
+        );
         for (name, text) in [
             ("two words", "bundle"),
             ("", "bundle"),
@@ -535,10 +509,10 @@ mod tests {
         let backend = Backend::new(
             0,
             addr,
-            ConnConfig {
+            driver(ConnConfig {
                 connect_timeout: Duration::from_millis(100),
                 ..ConnConfig::default()
-            },
+            }),
             BreakerConfig {
                 failure_threshold: 2,
                 probation: Duration::from_secs(10),

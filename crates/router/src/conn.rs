@@ -1,20 +1,15 @@
-//! Client-side connections to one `pfr-serve` backend, and the per-backend
-//! pool that reuses them.
+//! Socket-level tuning of the router's backend connections.
 //!
-//! The serve protocol is strictly one request line → one response line, so
-//! a connection is safe to reuse as long as every exchange on it completes;
-//! a connection that errors mid-exchange is dropped, never returned to the
-//! pool (its stream state is unknowable). Pipelining writes a burst of
-//! request lines before reading the responses — the server answers in
-//! order on one connection, which is what lets scatter-gather ship a whole
-//! sub-batch per replica in one round trip instead of one per row.
+//! Every backend's traffic rides one shared `pfr-net` [`ClientDriver`]
+//! event loop; [`ConnConfig`] is the router-facing subset of its
+//! [`ClientConfig`] (the rest keeps the driver's defaults).
+//!
+//! [`ClientDriver`]: pfr_net::ClientDriver
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::sync::Mutex;
+use pfr_net::ClientConfig;
 use std::time::Duration;
 
-/// Socket-level knobs shared by every connection of a pool.
+/// Socket-level knobs shared by every backend connection.
 #[derive(Debug, Clone, Copy)]
 pub struct ConnConfig {
     /// TCP connect timeout.
@@ -22,7 +17,7 @@ pub struct ConnConfig {
     /// Read/write timeout per protocol exchange.
     pub io_timeout: Duration,
     /// Idle connections kept per backend; excess connections are closed on
-    /// return instead of pooled.
+    /// release instead of pooled.
     pub max_idle: usize,
 }
 
@@ -36,205 +31,13 @@ impl Default for ConnConfig {
     }
 }
 
-/// One established protocol connection.
-#[derive(Debug)]
-pub struct Conn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Conn {
-    /// Connects with the configured timeouts and `TCP_NODELAY`.
-    pub fn connect(addr: SocketAddr, config: &ConnConfig) -> std::io::Result<Conn> {
-        let stream = TcpStream::connect_timeout(&addr, config.connect_timeout)?;
-        stream.set_read_timeout(Some(config.io_timeout))?;
-        stream.set_write_timeout(Some(config.io_timeout))?;
-        stream.set_nodelay(true)?;
-        let reader = BufReader::new(stream.try_clone()?);
-        Ok(Conn {
-            reader,
-            writer: stream,
-        })
-    }
-
-    /// One request line out, one response line back (trimmed).
-    pub fn request(&mut self, line: &str) -> std::io::Result<String> {
-        writeln!(self.writer, "{line}")?;
-        self.writer.flush()?;
-        self.read_response()
-    }
-
-    /// Writes every request line, then reads exactly as many response lines
-    /// (the server replies in order on one connection).
-    pub fn pipeline<S: AsRef<str>>(&mut self, lines: &[S]) -> std::io::Result<Vec<String>> {
-        let mut burst = String::new();
-        for line in lines {
-            burst.push_str(line.as_ref());
-            burst.push('\n');
+impl From<ConnConfig> for ClientConfig {
+    fn from(conn: ConnConfig) -> ClientConfig {
+        ClientConfig {
+            connect_timeout: conn.connect_timeout,
+            io_timeout: conn.io_timeout,
+            max_idle: conn.max_idle,
+            ..ClientConfig::default()
         }
-        self.writer.write_all(burst.as_bytes())?;
-        self.writer.flush()?;
-        lines.iter().map(|_| self.read_response()).collect()
-    }
-
-    /// Writes a pre-framed request — raw bytes that may carry a counted
-    /// payload after a header line (the `PUSH` verb) — and reads `expect`
-    /// response lines.
-    pub fn exchange_frame(&mut self, frame: &[u8], expect: usize) -> std::io::Result<Vec<String>> {
-        self.writer.write_all(frame)?;
-        self.writer.flush()?;
-        (0..expect).map(|_| self.read_response()).collect()
-    }
-
-    fn read_response(&mut self) -> std::io::Result<String> {
-        let mut response = String::new();
-        let n = self.reader.read_line(&mut response)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "backend closed the connection",
-            ));
-        }
-        Ok(response.trim_end().to_string())
-    }
-}
-
-/// A pool of reusable connections to one backend address.
-#[derive(Debug)]
-pub struct ConnPool {
-    addr: SocketAddr,
-    config: ConnConfig,
-    idle: Mutex<Vec<Conn>>,
-}
-
-impl ConnPool {
-    /// An empty pool for `addr` (connections are created on demand).
-    pub fn new(addr: SocketAddr, config: ConnConfig) -> Self {
-        ConnPool {
-            addr,
-            config,
-            idle: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// The backend address this pool connects to.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Idle connections currently pooled.
-    pub fn idle_len(&self) -> usize {
-        self.idle.lock().expect("conn pool lock poisoned").len()
-    }
-
-    /// Runs `f` on a pooled (or freshly dialed) connection. On success the
-    /// connection returns to the pool; on error it is dropped, because a
-    /// half-finished exchange leaves the stream out of protocol sync.
-    pub fn run<T>(&self, f: impl FnOnce(&mut Conn) -> std::io::Result<T>) -> std::io::Result<T> {
-        let pooled = self.idle.lock().expect("conn pool lock poisoned").pop();
-        let mut conn = match pooled {
-            Some(conn) => conn,
-            None => Conn::connect(self.addr, &self.config)?,
-        };
-        let result = f(&mut conn);
-        if result.is_ok() {
-            let mut idle = self.idle.lock().expect("conn pool lock poisoned");
-            if idle.len() < self.config.max_idle {
-                idle.push(conn);
-            }
-        }
-        result
-    }
-
-    /// Drops every idle connection (used when a backend is ejected, so
-    /// re-admission starts from fresh sockets).
-    pub fn drain(&self) {
-        self.idle.lock().expect("conn pool lock poisoned").clear();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::io::{BufRead, BufReader, Write};
-    use std::net::TcpListener;
-
-    /// A minimal line server: answers `PING` with `PONG <n>` where n counts
-    /// requests on that connection, so reuse is observable.
-    fn echo_server() -> SocketAddr {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        std::thread::spawn(move || {
-            for stream in listener.incoming().flatten() {
-                std::thread::spawn(move || {
-                    let mut reader = BufReader::new(stream.try_clone().unwrap());
-                    let mut writer = stream;
-                    let mut line = String::new();
-                    let mut count = 0u32;
-                    loop {
-                        line.clear();
-                        if reader.read_line(&mut line).unwrap_or(0) == 0 {
-                            return;
-                        }
-                        count += 1;
-                        if writeln!(writer, "PONG {count}").is_err() {
-                            return;
-                        }
-                    }
-                });
-            }
-        });
-        addr
-    }
-
-    #[test]
-    fn request_and_pipeline_round_trip() {
-        let addr = echo_server();
-        let mut conn = Conn::connect(addr, &ConnConfig::default()).unwrap();
-        assert_eq!(conn.request("PING").unwrap(), "PONG 1");
-        let replies = conn
-            .pipeline(&["PING".to_string(), "PING".to_string(), "PING".to_string()])
-            .unwrap();
-        assert_eq!(replies, vec!["PONG 2", "PONG 3", "PONG 4"]);
-    }
-
-    #[test]
-    fn pool_reuses_connections_on_success() {
-        let addr = echo_server();
-        let pool = ConnPool::new(addr, ConnConfig::default());
-        assert_eq!(pool.run(|c| c.request("PING")).unwrap(), "PONG 1");
-        assert_eq!(pool.idle_len(), 1);
-        // The counter keeps rising: same connection.
-        assert_eq!(pool.run(|c| c.request("PING")).unwrap(), "PONG 2");
-        assert_eq!(pool.idle_len(), 1);
-        pool.drain();
-        assert_eq!(pool.idle_len(), 0);
-        assert_eq!(pool.run(|c| c.request("PING")).unwrap(), "PONG 1");
-    }
-
-    #[test]
-    fn pool_drops_connections_on_error() {
-        let addr = echo_server();
-        let pool = ConnPool::new(addr, ConnConfig::default());
-        assert!(pool
-            .run(|_| -> std::io::Result<()> { Err(std::io::Error::other("boom")) })
-            .is_err());
-        assert_eq!(pool.idle_len(), 0);
-    }
-
-    #[test]
-    fn connecting_to_a_dead_address_fails_within_the_timeout() {
-        // Bind-then-drop yields an address nobody listens on.
-        let addr = {
-            let l = TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap()
-        };
-        let config = ConnConfig {
-            connect_timeout: Duration::from_millis(200),
-            ..ConnConfig::default()
-        };
-        let start = std::time::Instant::now();
-        assert!(Conn::connect(addr, &config).is_err());
-        assert!(start.elapsed() < Duration::from_secs(2));
     }
 }

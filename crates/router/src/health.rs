@@ -95,12 +95,13 @@ mod tests {
     use crate::conn::ConnConfig;
     use pfr_serve::{Server, ServerConfig};
 
-    fn quick_conn() -> ConnConfig {
-        ConnConfig {
+    fn quick_driver() -> Arc<pfr_net::ClientDriver> {
+        let conn = ConnConfig {
             connect_timeout: Duration::from_millis(150),
             io_timeout: Duration::from_millis(500),
             max_idle: 2,
-        }
+        };
+        Arc::new(pfr_net::ClientDriver::spawn(conn.into()).unwrap())
     }
 
     fn roster_of(backends: Vec<Arc<Backend>>) -> Roster {
@@ -113,7 +114,7 @@ mod tests {
         let live = Arc::new(Backend::new(
             0,
             server.addr(),
-            quick_conn(),
+            quick_driver(),
             BreakerConfig::default(),
         ));
         let dead_addr = {
@@ -123,7 +124,7 @@ mod tests {
         let dead = Arc::new(Backend::new(
             1,
             dead_addr,
-            quick_conn(),
+            quick_driver(),
             BreakerConfig {
                 failure_threshold: 2,
                 probation: Duration::from_secs(30),
@@ -176,7 +177,7 @@ mod tests {
         let backend = Arc::new(Backend::new(
             0,
             addr,
-            quick_conn(),
+            quick_driver(),
             BreakerConfig {
                 failure_threshold: 3,
                 probation: Duration::from_secs(30),
@@ -206,7 +207,7 @@ mod tests {
         let backend = Arc::new(Backend::new(
             0,
             server.addr(),
-            quick_conn(),
+            quick_driver(),
             BreakerConfig {
                 failure_threshold: 1,
                 probation: Duration::from_millis(40),

@@ -14,8 +14,10 @@
 //!   requests route against a single snapshot, so live
 //!   [`Router::add_backend`]/[`Router::remove_backend`] calls swap one
 //!   `Arc` and can never tear an in-flight scatter.
-//! * [`ConnPool`] / [`Conn`] — per-backend TCP connection pools speaking
-//!   the `pfr-serve` line protocol, with pipelined bursts for sub-batches.
+//! * [`Backend`] traffic — every backend's `pfr-serve` line-protocol
+//!   exchanges ride one shared `pfr-net` client event loop (tuned by
+//!   [`ConnConfig`]), with pipelined bursts for sub-batches; a scatter to
+//!   N replicas spawns no threads.
 //! * [`CircuitBreaker`] / [`Backend`] — consecutive-failure ejection with
 //!   probation and half-open re-admission; the request path and the
 //!   background [`HealthChecker`] feed the same breaker (the prober reads
@@ -99,11 +101,11 @@ pub mod ticket;
 
 pub use backend::{Backend, BreakerConfig, CircuitBreaker};
 pub use cluster::LocalCluster;
-pub use conn::{Conn, ConnConfig, ConnPool};
+pub use conn::ConnConfig;
 pub use error::RouterError;
 pub use health::{HealthChecker, Roster};
 pub use ring::{HashRing, DEFAULT_VNODES};
-pub use router::{Membership, Router, RouterConfig, RouterStats, TransportMode};
+pub use router::{Membership, Router, RouterConfig, RouterStats};
 pub use ticket::{CompletionQueue, Ticket};
 
 /// Convenient result alias used across the crate.

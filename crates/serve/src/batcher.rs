@@ -32,11 +32,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Where a completed score lands. The blocking (thread-per-connection)
-/// path waits on a channel; the reactor path cannot block, so its sink
-/// records a completion for the event loop and rings its waker.
+/// Where a completed score lands. The blocking in-process path
+/// ([`MicroBatcher::score`]) waits on a channel; the reactor path cannot
+/// block, so its sink records a completion for the event loop and rings
+/// its waker.
 pub(crate) enum ScoreSink {
-    /// Reply over an mpsc channel a connection thread is blocked on.
+    /// Reply over an mpsc channel a blocking caller waits on.
     Channel(Sender<Result<f64>>),
     /// Reply into the reactor's completion queue.
     Net(crate::reactor_front::NetSink),

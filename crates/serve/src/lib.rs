@@ -22,10 +22,11 @@
 //!   expiry and per-model capacity bounds via [`CachePolicy`].
 //! * [`Server`] — a line-delimited TCP protocol (`LOAD` / `SCORE` /
 //!   `TRANSFORM` / `STATS` / `HEALTH` / `EPOCH` / `QUIT`) with per-verb
-//!   latency and hit-rate counters ([`ServerStats`]), one thread per
-//!   connection, and a graceful shutdown that closes and joins every
-//!   connection. `HEALTH` and `EPOCH` exist for the `pfr-router` tier:
-//!   liveness/queue-depth probes and cross-process model-content digests.
+//!   latency and hit-rate counters ([`ServerStats`]), a pool of epoll
+//!   reactor threads multiplexing every connection, and a graceful
+//!   shutdown that closes every connection and joins every reactor.
+//!   `HEALTH` and `EPOCH` exist for the `pfr-router` tier: liveness and
+//!   queue-depth probes and cross-process model-content digests.
 //!
 //! Durability is optional: configure [`ServerConfig::journal`] and every
 //! accepted `SCORE`/`TRANSFORM`/`LOAD`/`PUSH` is appended to a `pfr-journal`
@@ -73,7 +74,7 @@ pub use model::ServableModel;
 pub use pool::WorkerPool;
 pub use protocol::Request;
 pub use registry::ModelRegistry;
-pub use server::{Frontend, RecoveryReport, Server, ServerConfig};
+pub use server::{RecoveryReport, Server, ServerConfig};
 pub use stats::{InflightGuard, ServerStats, VerbStats};
 
 /// Convenient result alias used across the crate.

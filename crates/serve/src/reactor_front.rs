@@ -39,8 +39,8 @@
 //! Because completions finish out of order while the protocol promises
 //! in-order responses per connection, each connection carries a sequence
 //! counter and a reorder buffer: responses are emitted strictly in request
-//! order, which is what keeps pipelined clients and the thread-per-
-//! connection front end bitwise interchangeable.
+//! order, which is what keeps pipelined clients correct and pools of
+//! every width bitwise interchangeable.
 //!
 //! Backpressure: a connection whose unsent output exceeds the high
 //! watermark stops being **read** (and therefore parsed) until the peer
@@ -145,8 +145,7 @@ struct PendingMeta {
     verb: AsyncVerb,
     start: Instant,
     /// Captured at parse time so a hot swap mid-request keeps the
-    /// threshold consistent with the scoring model (mirrors the threaded
-    /// path).
+    /// threshold consistent with the scoring model.
     threshold: f64,
     key: Option<ScoreKey>,
     /// The request's trace span, when traced. Events accrue on the
@@ -229,6 +228,11 @@ impl ClientConn {
     }
 }
 
+/// Finished spans each reactor's ring retains for `TRACE` lookups. Spans
+/// exist only for sampled requests, so the memory cost is bounded and
+/// small (a few hundred bytes per span).
+const SPAN_RING_CAPACITY: usize = 256;
+
 /// Join handles and wakers of a spawned reactor pool, in thread order.
 pub(crate) type ReactorPool = (Vec<JoinHandle<()>>, Vec<Arc<Waker>>);
 
@@ -267,7 +271,7 @@ pub(crate) fn spawn_pool(
         // Each reactor records spans into its own ring (no cross-thread
         // contention on the trace path) and publishes its own event-loop
         // health gauges, distinguishable by the `reactor` label.
-        let span_ring = context.traces.new_ring(server::SPAN_RING_CAPACITY);
+        let span_ring = context.traces.new_ring(SPAN_RING_CAPACITY);
         let loop_stats = Arc::new(LoopStats::new());
         register_loop_gauges(&context, index, &loop_stats);
         let reactor = Reactor {
@@ -390,8 +394,8 @@ impl Reactor {
         }
         // Shutdown: close every connection (in both directions, so blocked
         // clients observe EOF) and drop the listener. In-flight worker
-        // results land in a channel nobody reads — exactly the threaded
-        // front end's "a line that raced the shutdown is dropped" contract.
+        // results land in a channel nobody reads: a request that raced the
+        // shutdown is dropped, never half-answered.
         for (_, conn) in self.conns.drain() {
             self.live.fetch_sub(1, Ordering::Relaxed);
             let _ = conn.stream.shutdown(Shutdown::Both);
@@ -1098,8 +1102,8 @@ fn render(outcome: Result<String>) -> String {
 }
 
 /// Appends the trace echo when the request carried a wire token.
-/// Server-sampled traces never alter response bytes, so both front ends
-/// stay bitwise interchangeable for untraced callers.
+/// Server-sampled traces never alter response bytes, so sampled and
+/// unsampled requests stay bitwise interchangeable for untraced callers.
 fn with_echo(mut response: String, trace: Option<u64>) -> String {
     if let Some(id) = trace {
         response.push(' ');
@@ -1116,10 +1120,9 @@ fn verb_stats(stats: &crate::stats::ServerStats, verb: AsyncVerb) -> &VerbStats 
     }
 }
 
-/// The reactor front end shares every protocol test with the threaded one
-/// (the `server` module's tests run under the default = reactor config, and
-/// the end-to-end suites run under both). The tests here cover what only
-/// exists in reactor mode: idle timeouts and pipelined reordering.
+/// The protocol tests live in the `server` module (they run against the
+/// default one-reactor pool). The tests here cover the event-loop
+/// mechanics: idle timeouts and pipelined reordering.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1131,7 +1134,6 @@ mod tests {
     fn reactor_server(idle: Option<Duration>) -> (Server, pfr_linalg::Matrix) {
         let (bundle, x) = toy_bundle();
         let server = Server::spawn(ServerConfig {
-            frontend: crate::server::Frontend::reactor(1),
             idle_timeout: idle,
             ..ServerConfig::default()
         })
@@ -1216,12 +1218,7 @@ mod tests {
     #[test]
     fn connections_past_the_limit_are_shed_with_a_busy_line() {
         let (bundle, x) = toy_bundle();
-        let server = Server::spawn(
-            ServerConfig::new()
-                .with_frontend(crate::server::Frontend::reactor(1))
-                .with_max_connections(Some(1)),
-        )
-        .unwrap();
+        let server = Server::spawn(ServerConfig::new().with_max_connections(Some(1))).unwrap();
         let text = persistence::bundle_to_string(&bundle);
         server.registry().load_from_str("risk", &text).unwrap();
         let line = format!("SCORE risk {}", protocol::format_numbers(x.row(0)));
@@ -1281,9 +1278,7 @@ mod tests {
     #[test]
     fn a_reactor_pool_serves_connections_on_every_thread() {
         let (bundle, x) = toy_bundle();
-        let server =
-            Server::spawn(ServerConfig::new().with_frontend(crate::server::Frontend::reactor(4)))
-                .unwrap();
+        let server = Server::spawn(ServerConfig::new().with_reactors(4)).unwrap();
         let text = persistence::bundle_to_string(&bundle);
         server.registry().load_from_str("risk", &text).unwrap();
         let model = server.registry().get("risk").unwrap();

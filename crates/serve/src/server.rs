@@ -1,9 +1,10 @@
-//! The TCP serving front end: accept loop, per-connection protocol threads,
-//! and the request paths that tie registry, cache, batcher and pool together.
+//! The TCP serving instance: configuration, the shared request context
+//! that ties registry, cache, batcher and pool together, the verb handlers
+//! the reactor front end calls, and journal recovery.
 //!
 //! ```text
 //!            ┌────────────┐   SCORE    ┌─────────────┐      ┌────────────┐
-//! client ──► │ conn thread│ ──miss───► │ MicroBatcher│ ───► │ WorkerPool │
+//! client ──► │  reactor   │ ──miss───► │ MicroBatcher│ ───► │ WorkerPool │
 //!            │ (protocol) │ ◄──reply── │  (coalesce) │      │  (GEMM)    │
 //!            └─────┬──────┘            └─────────────┘      └────────────┘
 //!                  │ hit                       ▲
@@ -13,73 +14,36 @@
 //!            └────────────┘              └───────────┘
 //! ```
 //!
-//! The cache sits in front of the batcher: a hit answers on the connection
+//! The cache sits in front of the batcher: a hit answers on the reactor
 //! thread without touching the pool; a miss pays one batched scoring pass
 //! and populates the cache for every identical future request against the
-//! same model generation.
+//! same model generation. Connection handling lives in the reactor pool
+//! (`reactor_front.rs`).
 
 use crate::batcher::{BatcherConfig, MicroBatcher};
 use crate::cache::{CachePolicy, ScoreCache, ScoreKey};
 use crate::error::ServeError;
-use crate::protocol::{self, Request};
 use crate::registry::ModelRegistry;
 use crate::stats::ServerStats;
 use crate::Result;
 use pfr_journal::{Journal, JournalConfig, Record};
 use pfr_obs::{ActiveSpan, MetricsRegistry, Sampler, SpanRing, TraceStore};
-use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// Which connection-handling architecture the front end runs.
-///
-/// Both speak the identical protocol and produce bitwise-identical
-/// responses — the end-to-end tests run under both and diff them — but
-/// they scale differently: `Threaded` pays one OS thread (stack, kernel
-/// task, scheduler slot) per *connected* client, `Reactor` pays `threads`
-/// event-loop threads total and a few hundred bytes of state per client.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Frontend {
-    /// A pool of `threads` epoll reactor threads multiplexing every
-    /// connection (`crates/net`); accepted connections distribute across
-    /// the pool via the shared listener, and idle clients cost buffer
-    /// space, not threads. `threads` is clamped to at least 1.
-    Reactor {
-        /// Number of reactor event-loop threads sharing the listener.
-        threads: usize,
-    },
-    /// One blocking thread per accepted connection — the original front
-    /// end, kept selectable as the differential-testing baseline.
-    Threaded,
-}
-
-impl Default for Frontend {
-    fn default() -> Self {
-        Frontend::Reactor { threads: 1 }
-    }
-}
-
-impl Frontend {
-    /// A reactor pool of `threads` event loops (clamped to at least 1).
-    pub fn reactor(threads: usize) -> Frontend {
-        Frontend::Reactor {
-            threads: threads.max(1),
-        }
-    }
-}
+use std::time::Duration;
 
 /// Configuration of a serving instance.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address; use port 0 for an ephemeral port.
     pub addr: String,
-    /// Connection-handling architecture (see [`Frontend`]).
-    pub frontend: Frontend,
+    /// Reactor event-loop threads sharing the listener (clamped to at
+    /// least 1). Accepted connections distribute across the pool, and an
+    /// idle client costs buffer space, not a thread.
+    pub reactors: usize,
     /// Worker threads executing scoring/transform jobs.
     pub workers: usize,
     /// Micro-batching parameters.
@@ -98,10 +62,7 @@ pub struct ServerConfig {
     /// verb otherwise lets any client probe arbitrary filesystem paths).
     /// In-process loading via [`Server::registry`] is never restricted.
     pub bundle_dir: Option<std::path::PathBuf>,
-    /// Drop connections idle longer than this (`None` = never). Only the
-    /// reactor front end enforces it — with thread-per-connection an idle
-    /// client already holds the thread, which is the resource the timeout
-    /// would protect.
+    /// Drop connections idle longer than this (`None` = never).
     pub idle_timeout: Option<Duration>,
     /// Write-ahead journal configuration (`None` = no journaling). When
     /// set, every accepted `SCORE`/`TRANSFORM`/`LOAD`/`PUSH` is appended to
@@ -114,14 +75,12 @@ pub struct ServerConfig {
     /// [`Server::registry`] bypass the wire handlers and are **not**
     /// journaled; use `LOAD`/`PUSH` for installs that must survive a crash.
     pub journal: Option<JournalConfig>,
-    /// Most simultaneously connected clients the reactor front end serves
-    /// (`None` = unlimited). A connection accepted past the limit is
-    /// **shed**: answered with one [`protocol::BUSY`] line and closed, and
+    /// Most simultaneously connected clients the server admits (`None` =
+    /// unlimited). A connection accepted past the limit is **shed**:
+    /// answered with one [`crate::protocol::BUSY`] line and closed, and
     /// counted under `sheds=` on the `STATS` line. Load-shedding protects
     /// tail latency for the connections already admitted; the routing tier
-    /// treats `BUSY` as "walk on to another replica". The threaded front
-    /// end ignores the limit (each connection already costs a thread,
-    /// which is its own natural limiter).
+    /// treats `BUSY` as "walk on to another replica".
     pub max_connections: Option<usize>,
     /// Trace one in every `trace_sample_every` otherwise-untraced requests
     /// (0 disables server-initiated sampling). Requests arriving with a
@@ -139,7 +98,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
-            frontend: Frontend::default(),
+            reactors: 1,
             workers: 4,
             batcher: BatcherConfig::default(),
             cache_capacity: 4096,
@@ -156,8 +115,8 @@ impl Default for ServerConfig {
 }
 
 /// Builder-style constructors so call sites read as intent instead of
-/// positional struct literals: `ServerConfig::new().with_frontend(
-/// Frontend::reactor(4)).with_max_connections(Some(10_000))`.
+/// positional struct literals: `ServerConfig::new().with_reactors(4)
+/// .with_max_connections(Some(10_000))`.
 impl ServerConfig {
     /// The default configuration (same as [`ServerConfig::default`]).
     pub fn new() -> ServerConfig {
@@ -170,9 +129,9 @@ impl ServerConfig {
         self
     }
 
-    /// Selects the connection-handling architecture.
-    pub fn with_frontend(mut self, frontend: Frontend) -> ServerConfig {
-        self.frontend = frontend;
+    /// Sets the reactor pool width (clamped to at least 1).
+    pub fn with_reactors(mut self, reactors: usize) -> ServerConfig {
+        self.reactors = reactors;
         self
     }
 
@@ -200,7 +159,7 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the reactor front end's idle-connection timeout.
+    /// Sets the idle-connection timeout.
     pub fn with_idle_timeout(mut self, timeout: Option<Duration>) -> ServerConfig {
         self.idle_timeout = timeout;
         self
@@ -212,7 +171,7 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the reactor front end's connection limit (see
+    /// Sets the connection limit (see
     /// [`ServerConfig::max_connections`]).
     pub fn with_max_connections(mut self, limit: Option<usize>) -> ServerConfig {
         self.max_connections = limit;
@@ -234,76 +193,7 @@ impl ServerConfig {
     }
 }
 
-/// How often the accept loop re-checks the shutdown flag while no
-/// connection is pending. Bounds both shutdown latency and the worst-case
-/// extra accept latency of the non-blocking loop.
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
-
-/// Finished spans each front-end ring retains for `TRACE` lookups. Spans
-/// exist only for sampled requests, so the memory cost is bounded and
-/// small (a few hundred bytes per span).
-pub(crate) const SPAN_RING_CAPACITY: usize = 256;
-
-/// Live client connections: their streams (so shutdown can unblock the
-/// reads) and their thread handles (so shutdown can join instead of leak).
-#[derive(Debug, Default)]
-struct ConnectionTable {
-    next_id: AtomicU64,
-    streams: Mutex<HashMap<u64, TcpStream>>,
-    threads: Mutex<Vec<(u64, JoinHandle<()>)>>,
-}
-
-impl ConnectionTable {
-    /// Registers a connection; returns its id for deregistration.
-    fn register(&self, stream: TcpStream) -> u64 {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.streams
-            .lock()
-            .expect("connection table lock poisoned")
-            .insert(id, stream);
-        id
-    }
-
-    /// Removes a finished connection's stream (called by its own thread).
-    fn deregister(&self, id: u64) {
-        self.streams
-            .lock()
-            .expect("connection table lock poisoned")
-            .remove(&id);
-    }
-
-    /// Records a connection thread's handle and drops already-finished
-    /// handles (dropping a finished thread's handle just detaches it), so
-    /// the table stays bounded by the number of *live* connections, not the
-    /// number ever accepted.
-    fn track(&self, id: u64, handle: JoinHandle<()>) {
-        let mut threads = self.threads.lock().expect("connection table lock poisoned");
-        threads.retain(|(_, h)| !h.is_finished());
-        threads.push((id, handle));
-    }
-
-    /// Half-closes every live connection so blocked `read_line`s return,
-    /// then joins every connection thread.
-    fn close_and_join(&self) {
-        for stream in self
-            .streams
-            .lock()
-            .expect("connection table lock poisoned")
-            .values()
-        {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-        let handles: Vec<_> = {
-            let mut threads = self.threads.lock().expect("connection table lock poisoned");
-            threads.drain(..).collect()
-        };
-        for (_, handle) in handles {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Everything the request paths share (both front ends).
+/// Everything the request paths share across the reactor pool.
 pub(crate) struct ServeContext {
     pub(crate) registry: ModelRegistry,
     pub(crate) cache: Mutex<ScoreCache>,
@@ -318,14 +208,10 @@ pub(crate) struct ServeContext {
     /// Extra `key=value` stats sources attached by co-located subsystems
     /// (e.g. an in-process refit worker riding the `STATS` line).
     extra_stats: Mutex<Vec<Arc<dyn Fn() -> String + Send + Sync>>>,
-    connections: ConnectionTable,
     /// Every counter/gauge/histogram this process exposes via `METRICS`.
     pub(crate) metrics: Arc<MetricsRegistry>,
-    /// Span rings the `TRACE` verb reads back (one per front-end thread
-    /// group; the threaded front end shares [`ServeContext::span_ring`]).
+    /// Span rings the `TRACE` verb reads back (one per reactor thread).
     pub(crate) traces: Arc<TraceStore>,
-    /// The threaded front end's shared span ring.
-    pub(crate) span_ring: Arc<SpanRing>,
     /// Decides which untraced requests get a server-minted span.
     pub(crate) sampler: Sampler,
     /// Slow-request log threshold (see
@@ -489,23 +375,15 @@ impl RecoveryReport {
     }
 }
 
-/// The running front end's handles — whichever architecture was selected.
-enum Front {
-    Threaded {
-        accept_thread: Option<JoinHandle<()>>,
-    },
-    Reactor {
-        threads: Vec<JoinHandle<()>>,
-        wakers: Vec<Arc<pfr_net::Waker>>,
-    },
-}
-
 /// A running server: address, shared state handles, and shutdown control.
 pub struct Server {
     addr: SocketAddr,
     context: Arc<ServeContext>,
     shutdown: Arc<AtomicBool>,
-    front: Front,
+    /// The reactor threads, joined on shutdown.
+    threads: Vec<JoinHandle<()>>,
+    /// One waker per reactor, rung on shutdown so each loop notices.
+    wakers: Vec<Arc<pfr_net::Waker>>,
 }
 
 impl std::fmt::Debug for Server {
@@ -515,13 +393,11 @@ impl std::fmt::Debug for Server {
 }
 
 impl Server {
-    /// Binds, spawns the selected front end and returns the running server.
+    /// Binds, spawns the reactor pool and returns the running server.
     pub fn spawn(config: ServerConfig) -> Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        // A non-blocking listener lets the threaded accept loop poll the
-        // shutdown flag (and is mandatory for the reactor, which must never
-        // block in accept).
+        // The reactor must never block in accept.
         listener.set_nonblocking(true)?;
         let stats = Arc::new(ServerStats::new());
         let pool = Arc::new(crate::pool::WorkerPool::new(config.workers));
@@ -543,7 +419,6 @@ impl Server {
             journal.register_metrics(&metrics);
         }
         let traces = Arc::new(TraceStore::new());
-        let span_ring = traces.new_ring(SPAN_RING_CAPACITY);
         {
             let traces = Arc::clone(&traces);
             metrics.gauge(
@@ -566,44 +441,27 @@ impl Server {
             journal,
             recovery: Mutex::new(None),
             extra_stats: Mutex::new(Vec::new()),
-            connections: ConnectionTable::default(),
             metrics,
             traces,
-            span_ring,
             sampler: Sampler::new(config.trace_sample_every),
             slow_threshold: config.slow_trace_threshold,
             catalog: Mutex::new(None),
         });
         let shutdown = Arc::new(AtomicBool::new(false));
-        let front = match config.frontend {
-            Frontend::Threaded => {
-                let context = Arc::clone(&context);
-                let shutdown = Arc::clone(&shutdown);
-                let accept_thread = std::thread::Builder::new()
-                    .name("pfr-serve-accept".to_string())
-                    .spawn(move || accept_loop(listener, &context, &shutdown))
-                    .expect("spawning the accept thread never fails on this platform");
-                Front::Threaded {
-                    accept_thread: Some(accept_thread),
-                }
-            }
-            Frontend::Reactor { threads } => {
-                let (threads, wakers) = crate::reactor_front::spawn_pool(
-                    listener,
-                    Arc::clone(&context),
-                    Arc::clone(&shutdown),
-                    config.idle_timeout,
-                    threads.max(1),
-                    config.max_connections,
-                )?;
-                Front::Reactor { threads, wakers }
-            }
-        };
+        let (threads, wakers) = crate::reactor_front::spawn_pool(
+            listener,
+            Arc::clone(&context),
+            Arc::clone(&shutdown),
+            config.idle_timeout,
+            config.reactors,
+            config.max_connections,
+        )?;
         Ok(Server {
             addr,
             context,
             shutdown,
-            front,
+            threads,
+            wakers,
         })
     }
 
@@ -773,9 +631,8 @@ impl Server {
     }
 
     /// Gracefully shuts the server down: stops accepting, closes every
-    /// established connection (in-flight requests finish; blocked reads are
-    /// unblocked by the socket close) and joins the accept and connection
-    /// threads. No thread or socket outlives this call.
+    /// established connection and joins the reactor threads. No thread or
+    /// socket outlives this call.
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -784,23 +641,13 @@ impl Server {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        match &mut self.front {
-            Front::Threaded { accept_thread } => {
-                if let Some(t) = accept_thread.take() {
-                    let _ = t.join();
-                }
-                self.context.connections.close_and_join();
-            }
-            Front::Reactor { threads, wakers } => {
-                // Every reactor notices the flag on its wake, closes the
-                // connections it owns and exits.
-                for waker in wakers.iter() {
-                    let _ = waker.wake();
-                }
-                for t in threads.drain(..) {
-                    let _ = t.join();
-                }
-            }
+        // Every reactor notices the flag on its wake, closes the
+        // connections it owns and exits.
+        for waker in &self.wakers {
+            let _ = waker.wake();
+        }
+        for t in self.threads.drain(..) {
+            let _ = t.join();
         }
     }
 }
@@ -808,215 +655,6 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         self.stop();
-    }
-}
-
-/// Accepts connections until the shutdown flag flips, polling every
-/// [`ACCEPT_POLL`] while idle; each accepted stream gets a registered,
-/// joinable connection thread.
-fn accept_loop(listener: TcpListener, context: &Arc<ServeContext>, shutdown: &Arc<AtomicBool>) {
-    while !shutdown.load(Ordering::SeqCst) {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-                continue;
-            }
-            Err(_) => {
-                // Persistent accept errors (EMFILE under fd exhaustion)
-                // return without consuming the pending connection; retrying
-                // immediately would busy-spin a core.
-                std::thread::sleep(Duration::from_millis(10));
-                continue;
-            }
-        };
-        // Accepted sockets must block: the connection thread parks in
-        // read_line between requests. (Linux does not inherit O_NONBLOCK
-        // across accept, but other platforms may.)
-        if stream.set_nonblocking(false).is_err() {
-            continue;
-        }
-        // The protocol is one short line each way per request; Nagle +
-        // delayed ACK would serialize that into ~40ms round trips.
-        let _ = stream.set_nodelay(true);
-        let Ok(tracked) = stream.try_clone() else {
-            continue;
-        };
-        context.stats.record_connection();
-        let id = context.connections.register(tracked);
-        let thread_context = Arc::clone(context);
-        let thread_shutdown = Arc::clone(shutdown);
-        let spawned = std::thread::Builder::new()
-            .name("pfr-serve-conn".to_string())
-            .spawn(move || {
-                handle_connection(stream, &thread_context, &thread_shutdown);
-                thread_context.connections.deregister(id);
-            });
-        match spawned {
-            Ok(handle) => context.connections.track(id, handle),
-            Err(_) => context.connections.deregister(id),
-        }
-    }
-}
-
-/// Reads request lines until EOF/QUIT/shutdown, writing one response line
-/// each.
-fn handle_connection(stream: TcpStream, context: &ServeContext, shutdown: &AtomicBool) {
-    let Ok(peer_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(peer_half);
-    let mut writer = stream;
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => return, // client closed (or shutdown closed us)
-            Ok(_) => {}
-        }
-        // A line that raced the shutdown close is dropped rather than
-        // served: the socket is already shut in both directions, so the
-        // response could not reach the client anyway.
-        if shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let parsed = protocol::parse_request(&line);
-        // PUSH is the one verb the line-oriented `respond` cannot execute:
-        // its counted payload must be read off this connection's stream
-        // before the next request line.
-        let (response, quit) = match parsed {
-            Ok(Request::Push {
-                name,
-                nbytes,
-                trace,
-            }) => {
-                let start = Instant::now();
-                let _inflight = context.stats.track_inflight();
-                let mut span = context.begin_span(trace, "serve/PUSH");
-                let mut payload = vec![0u8; nbytes];
-                if reader.read_exact(&mut payload).is_err() {
-                    // A truncated payload leaves the stream unframeable;
-                    // close rather than misparse payload bytes as lines.
-                    return;
-                }
-                if let Some(s) = span.as_mut() {
-                    s.event("payload-read");
-                }
-                let outcome = handle_push(context, &name, &payload, span.as_mut());
-                context.stats.load.record(start.elapsed(), outcome.is_ok());
-                if let Some(span) = span {
-                    context.finish_span(span, &context.span_ring);
-                }
-                let mut response = match outcome {
-                    Ok(payload) => protocol::ok_response(&payload),
-                    Err(e) => protocol::err_response(&e),
-                };
-                if let Some(id) = trace {
-                    response.push(' ');
-                    response.push_str(&pfr_obs::trace_token(id));
-                }
-                (response, false)
-            }
-            // SYNC carries a counted payload too: read it off the stream
-            // here for the same framing reason as PUSH.
-            Ok(Request::Sync { nbytes }) => {
-                let start = Instant::now();
-                let _inflight = context.stats.track_inflight();
-                let mut payload = vec![0u8; nbytes];
-                if reader.read_exact(&mut payload).is_err() {
-                    return;
-                }
-                let outcome = handle_sync(context, &payload);
-                context
-                    .stats
-                    .catalog
-                    .record(start.elapsed(), outcome.is_ok());
-                let response = match outcome {
-                    Ok(payload) => protocol::ok_response(&payload),
-                    Err(e) => protocol::err_response(&e),
-                };
-                (response, false)
-            }
-            parsed => respond(parsed, context, &context.span_ring),
-        };
-        if writer.write_all(response.as_bytes()).is_err()
-            || writer.write_all(b"\n").is_err()
-            || writer.flush().is_err()
-            || quit
-        {
-            return;
-        }
-    }
-}
-
-/// Executes one parsed request; returns the response and whether to close.
-/// `PUSH` never reaches here — the connection loop intercepts it to read
-/// the counted payload off the stream. Finished spans land in `ring` (the
-/// calling front-end thread group's ring).
-fn respond(parsed: Result<Request>, context: &ServeContext, ring: &SpanRing) -> (String, bool) {
-    match parsed {
-        Ok(Request::Quit) => (protocol::ok_response("bye"), true),
-        Ok(request) => {
-            let start = Instant::now();
-            let _inflight = context.stats.track_inflight();
-            // The wire token is echoed on the response; a server-sampled
-            // span is recorded locally but never changes response bytes.
-            let wire_trace = match &request {
-                Request::Score { trace, .. } | Request::Transform { trace, .. } => *trace,
-                _ => None,
-            };
-            let mut span = match &request {
-                Request::Score { .. } => context.begin_span(wire_trace, "serve/SCORE"),
-                Request::Transform { .. } => context.begin_span(wire_trace, "serve/TRANSFORM"),
-                _ => None,
-            };
-            let (verb_stats, outcome) = match request {
-                Request::Load { name, path } => (
-                    &context.stats.load,
-                    handle_load(context, &name, Path::new(&path)),
-                ),
-                Request::Score { name, features, .. } => (
-                    &context.stats.score,
-                    handle_score(context, &name, features, span.as_mut()),
-                ),
-                Request::Transform { name, features, .. } => (
-                    &context.stats.transform,
-                    handle_transform(context, &name, features, span.as_mut()),
-                ),
-                Request::Stats => (&context.stats.stats, Ok(context.stats_line())),
-                Request::Health => (&context.stats.health, Ok(handle_health(context))),
-                Request::Epoch { name } => (&context.stats.epoch, handle_epoch(context, &name)),
-                Request::Metrics => (&context.stats.stats, Ok(context.metrics_payload())),
-                Request::Trace { id } => (&context.stats.stats, context.trace_payload(id)),
-                Request::Catalog { full } => {
-                    (&context.stats.catalog, Ok(handle_catalog(context, full)))
-                }
-                Request::Quit => unreachable!("handled above"),
-                Request::Push { .. } | Request::Sync { .. } => {
-                    unreachable!("intercepted by the connection loop")
-                }
-            };
-            verb_stats.record(start.elapsed(), outcome.is_ok());
-            if let Some(span) = span {
-                context.finish_span(span, ring);
-            }
-            let mut response = match outcome {
-                Ok(payload) => protocol::ok_response(&payload),
-                Err(e) => protocol::err_response(&e),
-            };
-            if let Some(id) = wire_trace {
-                response.push(' ');
-                response.push_str(&pfr_obs::trace_token(id));
-            }
-            (response, false)
-        }
-        Err(e) => {
-            context.stats.record_parse_error();
-            (protocol::err_response(&e), false)
-        }
     }
 }
 
@@ -1164,101 +802,18 @@ fn loaded_payload(model: &crate::model::ServableModel) -> String {
     )
 }
 
-fn handle_score(
-    context: &ServeContext,
-    name: &str,
-    features: Vec<f64>,
-    mut span: Option<&mut ActiveSpan>,
-) -> Result<String> {
-    let model = context.registry.resolve(name)?;
-    if let Some(s) = span.as_deref_mut() {
-        s.event("resolve");
-    }
-    // Journaled before execution — cache hits included — so replay
-    // reproduces the exact request order (and thus the LRU state).
-    context.journal_append(|| Record::Score {
-        model: name.to_string(),
-        features: features.clone(),
-    })?;
-    if context.journal.is_some() {
-        if let Some(s) = span.as_deref_mut() {
-            s.event("journal-append");
-        }
-    }
-    let key = ScoreKey::new(model.generation(), &features);
-    if let Some(key) = &key {
-        let cached = context.cache.lock().expect("cache lock poisoned").get(key);
-        if let Some(score) = cached {
-            context.stats.record_cache_hit();
-            if let Some(s) = span.as_deref_mut() {
-                s.event("cache-hit");
-            }
-            return Ok(score_payload(score, model.threshold()));
-        }
-    }
-    context.stats.record_cache_miss();
-    if let Some(s) = span.as_deref_mut() {
-        s.event("cache-miss");
-    }
-    let threshold = model.threshold();
-    let score = context.batcher.score(model, features)?;
-    if let Some(s) = span.as_deref_mut() {
-        // Queue wait, batch assembly and the GEMM itself all sit between
-        // the previous event and this one.
-        s.event("batch-scored");
-    }
-    if let Some(key) = key {
-        context
-            .cache
-            .lock()
-            .expect("cache lock poisoned")
-            .insert(key, score);
-        if let Some(s) = span {
-            s.event("cache-insert");
-        }
-    }
-    Ok(score_payload(score, threshold))
-}
-
 pub(crate) fn score_payload(score: f64, threshold: f64) -> String {
     format!("{score} {}", u8::from(score >= threshold))
-}
-
-fn handle_transform(
-    context: &ServeContext,
-    name: &str,
-    features: Vec<f64>,
-    mut span: Option<&mut ActiveSpan>,
-) -> Result<String> {
-    let model = context.registry.resolve(name)?;
-    if let Some(s) = span.as_deref_mut() {
-        s.event("resolve");
-    }
-    context.journal_append(|| Record::Transform {
-        model: name.to_string(),
-        features: features.clone(),
-    })?;
-    // Transforms are not micro-batched (they are an offline/debugging verb);
-    // they still run on the pool so connection threads never do linear
-    // algebra.
-    let receiver = context.pool.submit(move || -> Result<Vec<f64>> {
-        let x =
-            pfr_linalg::Matrix::from_vec(1, features.len(), features).map_err(ServeError::model)?;
-        let z = model.transform_batch(&x)?;
-        Ok(z.row(0).to_vec())
-    })?;
-    let z = receiver.recv().map_err(|_| ServeError::Shutdown)??;
-    if let Some(s) = span {
-        s.event("pool-exec");
-    }
-    Ok(protocol::format_numbers(&z))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::tests::toy_bundle;
+    use crate::protocol;
     use pfr_core::persistence;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
 
     fn start_with_model() -> (Server, String, pfr_linalg::Matrix) {
         let (bundle, x) = toy_bundle();
@@ -1351,16 +906,12 @@ mod tests {
     }
 
     #[test]
-    fn push_loads_a_bundle_over_the_wire_on_both_front_ends() {
+    fn push_loads_a_bundle_over_the_wire_at_both_pool_widths() {
         let (bundle, x) = toy_bundle();
         let text = persistence::bundle_to_string(&bundle);
-        for frontend in [
-            Frontend::Threaded,
-            Frontend::reactor(1),
-            Frontend::reactor(4),
-        ] {
+        for reactors in [1, 4] {
             let server = Server::spawn(ServerConfig {
-                frontend,
+                reactors,
                 // A bundle_dir that PUSH must ignore: no path is read.
                 bundle_dir: Some(std::path::PathBuf::from("/definitely/not/there")),
                 ..ServerConfig::default()
@@ -1369,7 +920,7 @@ mod tests {
             let response = push_request(server.addr(), "risk", &text);
             assert!(
                 response.starts_with("OK loaded risk@"),
-                "{frontend:?}: {response}"
+                "reactors={reactors}: {response}"
             );
             assert!(response.contains("features=3"), "{response}");
             // The pushed model serves scores identical to in-process loading.
@@ -1383,7 +934,11 @@ mod tests {
                 .unwrap()
                 .parse()
                 .unwrap();
-            assert_eq!(score.to_bits(), expected[0].to_bits(), "{frontend:?}");
+            assert_eq!(
+                score.to_bits(),
+                expected[0].to_bits(),
+                "reactors={reactors}"
+            );
             // Garbage payloads are rejected without killing the connection's
             // framing: the next request on a fresh connection still works.
             let bad = push_request(server.addr(), "junk", "not a bundle at all\n");
@@ -1397,13 +952,9 @@ mod tests {
     fn push_then_more_requests_on_the_same_connection_stay_framed() {
         let (bundle, x) = toy_bundle();
         let text = persistence::bundle_to_string(&bundle);
-        for frontend in [
-            Frontend::Threaded,
-            Frontend::reactor(1),
-            Frontend::reactor(4),
-        ] {
+        for reactors in [1, 4] {
             let server = Server::spawn(ServerConfig {
-                frontend,
+                reactors,
                 ..ServerConfig::default()
             })
             .unwrap();
@@ -1556,7 +1107,7 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_unblocks_the_accept_loop() {
+    fn shutdown_releases_the_listener() {
         let server = Server::spawn(ServerConfig::default()).unwrap();
         let addr = server.addr();
         server.shutdown();
@@ -1613,18 +1164,18 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_closes_established_connections_and_joins_their_threads() {
+    fn shutdown_closes_established_connections_and_joins_the_reactors() {
         let (server, _, _) = start_with_model();
-        // Park two idle connections in read_line.
+        // Park two idle connections on the reactor.
         let idle: Vec<TcpStream> = (0..2)
             .map(|_| TcpStream::connect(server.addr()).unwrap())
             .collect();
-        // Give the accept loop time to register both.
+        // Give the reactor time to accept both.
         std::thread::sleep(std::time::Duration::from_millis(50));
         server.shutdown();
-        // shutdown() returned, which means it joined the connection threads
-        // — only possible because it closed their sockets. The clients see
-        // EOF rather than a hang.
+        // shutdown() returned, which means it joined the reactor threads,
+        // which close the connections they own on the way out. The clients
+        // see EOF rather than a hang.
         for stream in idle {
             let mut reader = BufReader::new(stream);
             let mut buf = String::new();
@@ -1634,17 +1185,13 @@ mod tests {
     }
 
     #[test]
-    fn threaded_and_reactor_front_ends_serve_bitwise_identically() {
+    fn reactor_pool_widths_serve_bitwise_identically() {
         let (bundle, x) = toy_bundle();
         let text = persistence::bundle_to_string(&bundle);
         let mut responses = Vec::new();
-        for frontend in [
-            Frontend::Threaded,
-            Frontend::reactor(1),
-            Frontend::reactor(4),
-        ] {
+        for reactors in [1, 4] {
             let server = Server::spawn(ServerConfig {
-                frontend,
+                reactors,
                 ..ServerConfig::default()
             })
             .unwrap();
@@ -1657,7 +1204,7 @@ mod tests {
         }
         assert_eq!(
             responses[0], responses[1],
-            "the two front ends must be byte-for-byte interchangeable"
+            "1- and 4-reactor pools must be byte-for-byte interchangeable"
         );
     }
 
@@ -1710,20 +1257,16 @@ mod tests {
     }
 
     #[test]
-    fn catalog_and_sync_replicate_the_control_plane_on_both_front_ends() {
+    fn catalog_and_sync_replicate_the_control_plane_at_both_pool_widths() {
         let (bundle, _) = toy_bundle();
         let text = persistence::bundle_to_string(&bundle);
         let mut catalog = pfr_control::Catalog::new(9);
         catalog.add_member(9, 0, "127.0.0.1:9000".to_string());
         catalog.upsert_placement(9, "risk", &text).unwrap();
         let mut transcripts = Vec::new();
-        for frontend in [
-            Frontend::Threaded,
-            Frontend::reactor(1),
-            Frontend::reactor(4),
-        ] {
+        for reactors in [1, 4] {
             let server = Server::spawn(ServerConfig {
-                frontend,
+                reactors,
                 ..ServerConfig::default()
             })
             .unwrap();
@@ -1732,8 +1275,8 @@ mod tests {
                 server.addr(),
                 &["CATALOG".to_string(), "CATALOG FULL".to_string()],
             );
-            assert_eq!(responses[0], "OK none", "{frontend:?}");
-            assert_eq!(responses[1], "OK none", "{frontend:?}");
+            assert_eq!(responses[0], "OK none", "reactors={reactors}");
+            assert_eq!(responses[1], "OK none", "reactors={reactors}");
             assert!(server.catalog_version().is_none());
             // Offer the catalog: applied, and the response reports the
             // post-merge holder state.
@@ -1741,7 +1284,7 @@ mod tests {
             assert_eq!(
                 responses[2],
                 format!("OK {} applied=1", catalog.version().summary()),
-                "{frontend:?}"
+                "reactors={reactors}"
             );
             assert_eq!(server.catalog_version(), Some(catalog.version()));
             // The digest probe and the full pull reflect the stored value;
@@ -1753,7 +1296,7 @@ mod tests {
             assert_eq!(
                 responses[3],
                 format!("OK {}", catalog.version().summary()),
-                "{frontend:?}"
+                "reactors={reactors}"
             );
             let pulled = responses[4].strip_prefix("OK ").unwrap();
             let adopted = pfr_control::Catalog::from_text(&pfr_control::unescape(pulled)).unwrap();
@@ -1765,21 +1308,20 @@ mod tests {
             assert_eq!(
                 responses[5],
                 format!("OK {} applied=0", catalog.version().summary()),
-                "{frontend:?}"
+                "reactors={reactors}"
             );
             responses.push(sync_request(server.addr(), "not a catalog\n"));
             assert!(responses[6].starts_with("ERR"), "{}", responses[6]);
             assert_eq!(server.catalog_version(), Some(catalog.version()));
-            assert_eq!(server.stats().catalog.requests(), 7, "{frontend:?}");
-            assert_eq!(server.stats().catalog.errors(), 1, "{frontend:?}");
+            assert_eq!(server.stats().catalog.requests(), 7, "reactors={reactors}");
+            assert_eq!(server.stats().catalog.errors(), 1, "reactors={reactors}");
             transcripts.push(responses);
             server.shutdown();
         }
         assert_eq!(
             transcripts[0], transcripts[1],
-            "the front ends must replicate the catalog byte-for-byte identically"
+            "both pool widths must replicate the catalog byte-for-byte identically"
         );
-        assert_eq!(transcripts[1], transcripts[2]);
     }
 
     #[test]

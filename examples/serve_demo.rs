@@ -40,7 +40,7 @@ use pfr::journal::JournalConfig;
 use pfr::pipeline::{FairPipeline, FairPipelineConfig};
 use pfr::refit::{GateConfig, RefitConfig, RefitLoop, RefitModelConfig, RefitWorker, SwapTarget};
 use pfr::serve::protocol::format_numbers;
-use pfr::serve::{BatcherConfig, Frontend, Server, ServerConfig};
+use pfr::serve::{BatcherConfig, Server, ServerConfig};
 use pfr_data::{split, synthetic, Dataset};
 use pfr_graph::{fairness, SparseGraph};
 use std::io::{BufRead, BufReader, Write};
@@ -80,8 +80,7 @@ fn main() {
 
     // 3. Serve it on an ephemeral port — an event-driven reactor *pool*
     //    sized to the machine (one epoll loop per thread, accepted
-    //    connections spread across them); set `frontend: Frontend::Threaded`
-    //    for the thread-per-connection baseline. `--journal <dir>` adds a
+    //    connections spread across them). `--journal <dir>` adds a
     //    write-ahead journal: every accepted request becomes durable before
     //    its response, and a crashed server can be rebuilt from the log.
     let reactors = std::thread::available_parallelism()
@@ -103,7 +102,7 @@ fn main() {
         })
     });
     let make_config = || ServerConfig {
-        frontend: Frontend::reactor(reactors),
+        reactors,
         workers: 4,
         batcher: BatcherConfig {
             max_batch: 32,

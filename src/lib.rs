@@ -56,8 +56,10 @@
 //! ```
 //!
 //! See the `examples/` directory for end-to-end pipelines (quickstart,
-//! graduate admissions, recidivism, crime neighbourhoods) and `DESIGN.md` /
-//! `EXPERIMENTS.md` for the reproduction methodology and results.
+//! graduate admissions, recidivism, crime neighbourhoods), the per-crate
+//! `DESIGN.md` files for the serving stack, and `pfr_eval::experiments`
+//! for the reproduction methodology (`pfr-eval --all` prints the
+//! results).
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

@@ -13,7 +13,7 @@
 //!    single reactor serve identical bits.
 
 use pfr::pipeline::{FairPipeline, FairPipelineConfig};
-use pfr::serve::{Frontend, Server, ServerConfig};
+use pfr::serve::{Server, ServerConfig};
 use pfr_data::{split, synthetic, Dataset};
 use pfr_graph::{fairness, SparseGraph};
 use std::io::{BufRead, BufReader, Write};
@@ -62,7 +62,7 @@ fn idle_load_scenario(
 ) -> Vec<(usize, f64)> {
     // --- One reactor-mode server at the requested pool width. --------------
     let server = Server::spawn(ServerConfig {
-        frontend: Frontend::reactor(threads),
+        reactors: threads,
         workers: 4,
         ..ServerConfig::default()
     })

@@ -7,18 +7,17 @@
 //! per-stage events, both under the same trace id that travelled on the
 //! wire as a `T=<id>` token.
 //!
-//! The scenario runs against both connection architectures (reactor front
-//! end + reactor transport, thread-per-connection front end + threaded
-//! transport): the exposition and the trace tree are wire formats, so both
-//! stacks must produce them identically.
+//! The scenario runs with backends on a single reactor and on a 4-thread
+//! reactor pool: the exposition and the trace tree are wire formats, so
+//! the pool width must not change them.
 
 use pfr::core::persistence::bundle_to_string;
 use pfr::journal::JournalConfig;
 use pfr::obs::Scrape;
 use pfr::pipeline::{FairPipeline, FairPipelineConfig};
 use pfr::refit::{RefitConfig, RefitLoop, RefitWorker, SwapTarget};
-use pfr::router::{LocalCluster, RouterConfig, TransportMode};
-use pfr::serve::{Frontend, ServerConfig};
+use pfr::router::{LocalCluster, RouterConfig};
+use pfr::serve::ServerConfig;
 use pfr_data::{split, synthetic, Dataset};
 use pfr_graph::{fairness, SparseGraph};
 use std::path::PathBuf;
@@ -44,27 +43,15 @@ fn journal_dir(tag: &str, i: usize) -> PathBuf {
 
 #[test]
 fn one_scrape_and_one_trace_tree_span_every_tier_reactor() {
-    one_scrape_and_one_trace_tree_span_every_tier(
-        Frontend::reactor(1),
-        TransportMode::Reactor,
-        "reactor",
-    );
+    one_scrape_and_one_trace_tree_span_every_tier(1);
 }
 
 #[test]
-fn one_scrape_and_one_trace_tree_span_every_tier_threaded() {
-    one_scrape_and_one_trace_tree_span_every_tier(
-        Frontend::Threaded,
-        TransportMode::Threaded,
-        "threaded",
-    );
+fn one_scrape_and_one_trace_tree_span_every_tier_reactor_pool() {
+    one_scrape_and_one_trace_tree_span_every_tier(4);
 }
 
-fn one_scrape_and_one_trace_tree_span_every_tier(
-    frontend: Frontend,
-    transport: TransportMode,
-    tag: &str,
-) {
+fn one_scrape_and_one_trace_tree_span_every_tier(reactors: usize) {
     // --- Offline ground truth and a 3-backend journaling cluster. ----------
     let dataset = synthetic::generate_default(91).unwrap();
     let split = split::train_test_split(&dataset, 0.3, 91).unwrap();
@@ -83,10 +70,10 @@ fn one_scrape_and_one_trace_tree_span_every_tier(
     let mut cluster = LocalCluster::boot(0, ServerConfig::default()).unwrap();
     let mut dirs = Vec::new();
     for i in 0..3 {
-        let dir = journal_dir(tag, i);
+        let dir = journal_dir(&format!("reactor{reactors}"), i);
         cluster
             .add_backend_with(ServerConfig {
-                frontend,
+                reactors,
                 journal: Some(JournalConfig::new(dir.clone())),
                 ..ServerConfig::default()
             })
@@ -96,7 +83,6 @@ fn one_scrape_and_one_trace_tree_span_every_tier(
     let router = cluster
         .router(RouterConfig {
             replication: 2,
-            transport,
             ..RouterConfig::default()
         })
         .unwrap();

@@ -25,7 +25,7 @@ use pfr::linalg::stats::Standardizer;
 use pfr::linalg::Matrix;
 use pfr::opt::{LogisticRegression, LogisticRegressionConfig};
 use pfr::refit::{GateConfig, RefitConfig, RefitLoop, RefitModelConfig, RefitStep, SwapTarget};
-use pfr::serve::{Frontend, ServableModel, Server, ServerConfig};
+use pfr::serve::{ServableModel, Server, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -120,7 +120,6 @@ fn drifted_traffic_triggers_gated_hot_swap_with_bitwise_consistency() {
     let mut journal_config = JournalConfig::new(journal_dir.clone());
     journal_config.fsync = FsyncPolicy::Never;
     let server = Server::spawn(ServerConfig {
-        frontend: Frontend::Threaded,
         workers: 2,
         journal: Some(journal_config),
         ..ServerConfig::default()

@@ -23,8 +23,8 @@
 
 use pfr::core::persistence::ModelBundle;
 use pfr::pipeline::{FairPipeline, FairPipelineConfig};
-use pfr::router::{BreakerConfig, ConnConfig, LocalCluster, Router, RouterConfig, TransportMode};
-use pfr::serve::{Frontend, ServerConfig};
+use pfr::router::{BreakerConfig, ConnConfig, LocalCluster, Router, RouterConfig};
+use pfr::serve::ServerConfig;
 use pfr_data::{split, synthetic, Dataset};
 use pfr_graph::{fairness, SparseGraph};
 use std::sync::{Arc, Barrier};
@@ -81,7 +81,6 @@ fn test_config() -> RouterConfig {
             io_timeout: Duration::from_secs(5),
             max_idle: 8,
         },
-        transport: TransportMode::Reactor,
         health_interval: Some(Duration::from_millis(25)),
         // Scenarios drive anti-entropy explicitly via `sync_now` so every
         // assertion is deterministic; the first scenario re-enables the
@@ -123,14 +122,7 @@ fn assert_converged(routers: &[&Router], model: &str, rows: &[Vec<f64>], expecte
 #[test]
 fn two_routers_converge_and_a_restarted_router_bootstraps_from_peers() {
     let (bundle, rows, expected) = trained_fixture();
-    let mut cluster = LocalCluster::boot(
-        3,
-        ServerConfig {
-            frontend: Frontend::reactor(1),
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
+    let mut cluster = LocalCluster::boot(3, ServerConfig::default()).unwrap();
 
     // Router A drives the cluster through its background sync worker —
     // the thread must keep A converged without any explicit sync calls.
@@ -183,14 +175,7 @@ fn two_routers_converge_and_a_restarted_router_bootstraps_from_peers() {
 #[test]
 fn readmitted_backend_is_repaired_exactly_once() {
     let (bundle, _rows, _expected) = trained_fixture();
-    let cluster = LocalCluster::boot(
-        3,
-        ServerConfig {
-            frontend: Frontend::reactor(1),
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
+    let cluster = LocalCluster::boot(3, ServerConfig::default()).unwrap();
     let router = cluster.router(test_config()).unwrap();
     assert_eq!(router.push("admissions", &bundle).unwrap(), 2);
     let digest = router.verify("admissions").unwrap();
@@ -260,14 +245,7 @@ fn readmitted_backend_is_repaired_exactly_once() {
 #[test]
 fn cold_key_stampede_coalesces_to_one_backend_round_trip() {
     let (bundle, rows, expected) = trained_fixture();
-    let cluster = LocalCluster::boot(
-        3,
-        ServerConfig {
-            frontend: Frontend::reactor(1),
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
+    let cluster = LocalCluster::boot(3, ServerConfig::default()).unwrap();
     let router = Arc::new(cluster.router(test_config()).unwrap());
     assert_eq!(router.push("admissions", &bundle).unwrap(), 2);
     router.verify("admissions").unwrap();

@@ -5,16 +5,16 @@
 //! `FittedFairPipeline` predictions — a backend loss degrades capacity,
 //! never correctness.
 //!
-//! The scenario runs across the architecture matrix: the event-driven
-//! stack at two reactor-pool widths (1-thread and 4-thread serve front
-//! ends behind a reactor-transport router) and the original
-//! thread-per-connection stack. All architectures must stay bitwise
-//! interchangeable under concurrent load *and* mid-stream failure; CI runs
-//! the full matrix to enforce the differential.
+//! The scenario runs with backends at two reactor-pool widths (1-thread
+//! and 4-thread): both must stay bitwise interchangeable under concurrent
+//! load *and* mid-stream failure; CI runs both to enforce the
+//! differential. A second scenario pins down batch scoring when every
+//! replica of the model's shard is breaker-open.
 
+use pfr::core::persistence::ModelBundle;
 use pfr::pipeline::{FairPipeline, FairPipelineConfig};
-use pfr::router::{BreakerConfig, ConnConfig, LocalCluster, RouterConfig, TransportMode};
-use pfr::serve::{Frontend, ServerConfig};
+use pfr::router::{BreakerConfig, ConnConfig, LocalCluster, RouterConfig};
+use pfr::serve::ServerConfig;
 use pfr_data::{split, synthetic, Dataset};
 use pfr_graph::{fairness, SparseGraph};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -30,23 +30,10 @@ fn fairness_graph(ds: &Dataset) -> SparseGraph {
     fairness::between_group_quantile_graph(ds.groups(), &scores, 5).unwrap()
 }
 
-#[test]
-fn cluster_survives_a_backend_kill_with_bitwise_identical_scores_reactor() {
-    cluster_survives_a_backend_kill(Frontend::reactor(1), TransportMode::Reactor);
-}
-
-#[test]
-fn cluster_survives_a_backend_kill_with_bitwise_identical_scores_reactor_pool() {
-    cluster_survives_a_backend_kill(Frontend::reactor(4), TransportMode::Reactor);
-}
-
-#[test]
-fn cluster_survives_a_backend_kill_with_bitwise_identical_scores_threaded() {
-    cluster_survives_a_backend_kill(Frontend::Threaded, TransportMode::Threaded);
-}
-
-fn cluster_survives_a_backend_kill(frontend: Frontend, transport: TransportMode) {
-    // --- Offline ground truth. ---------------------------------------------
+/// Offline ground truth: a fitted pipeline's bundle, the raw test rows a
+/// decision service would receive, and their bit-exact expected
+/// probabilities.
+fn trained_fixture() -> (ModelBundle, Vec<Vec<f64>>, Vec<f64>) {
     let dataset = synthetic::generate_default(91).unwrap();
     let split = split::train_test_split(&dataset, 0.3, 91).unwrap();
     let train = dataset.subset(&split.train).unwrap();
@@ -59,13 +46,28 @@ fn cluster_survives_a_backend_kill(frontend: Frontend, transport: TransportMode)
     .unwrap();
     let expected = fitted.predict_proba(&test).unwrap();
     let (raw, _) = test.features_with_protected().unwrap();
-    let bundle = fitted.into_bundle().unwrap();
+    let rows: Vec<Vec<f64>> = (0..raw.rows()).map(|i| raw.row(i).to_vec()).collect();
+    (fitted.into_bundle().unwrap(), rows, expected)
+}
+
+#[test]
+fn cluster_survives_a_backend_kill_with_bitwise_identical_scores_reactor() {
+    cluster_survives_a_backend_kill(1);
+}
+
+#[test]
+fn cluster_survives_a_backend_kill_with_bitwise_identical_scores_reactor_pool() {
+    cluster_survives_a_backend_kill(4);
+}
+
+fn cluster_survives_a_backend_kill(reactors: usize) {
+    let (bundle, all_rows, expected) = trained_fixture();
 
     // --- A 3-shard cluster with replication 2 and fast failure detection. --
     let mut cluster = LocalCluster::boot(
         3,
         ServerConfig {
-            frontend,
+            reactors,
             ..ServerConfig::default()
         },
     )
@@ -83,7 +85,6 @@ fn cluster_survives_a_backend_kill(frontend: Frontend, transport: TransportMode)
                     io_timeout: Duration::from_secs(5),
                     max_idle: 8,
                 },
-                transport,
                 health_interval: Some(Duration::from_millis(25)),
                 ..RouterConfig::default()
             })
@@ -98,7 +99,7 @@ fn cluster_survives_a_backend_kill(frontend: Frontend, transport: TransportMode)
     const THREADS: usize = 8;
     const PER_THREAD: usize = 25;
     let rows: Vec<Vec<f64>> = (0..PER_THREAD)
-        .map(|i| raw.row(i % raw.rows()).to_vec())
+        .map(|i| all_rows[i % all_rows.len()].clone())
         .collect();
     let rows = Arc::new(rows);
     let completed = Arc::new(AtomicUsize::new(0));
@@ -138,7 +139,7 @@ fn cluster_survives_a_backend_kill(frontend: Frontend, transport: TransportMode)
     for scores in &per_thread {
         for (idx, score) in scores {
             total += 1;
-            let want = expected[idx % raw.rows()];
+            let want = expected[idx % all_rows.len()];
             assert_eq!(
                 score.to_bits(),
                 want.to_bits(),
@@ -149,7 +150,6 @@ fn cluster_survives_a_backend_kill(frontend: Frontend, transport: TransportMode)
     assert_eq!(total, THREADS * PER_THREAD);
 
     // --- Scatter-gather still reassembles correctly on the survivors. ------
-    let all_rows: Vec<Vec<f64>> = (0..raw.rows()).map(|i| raw.row(i).to_vec()).collect();
     let batch = router.score_batch("admissions", &all_rows).unwrap();
     assert_eq!(batch.len(), expected.len());
     for (i, (got, want)) in batch.iter().zip(expected.iter()).enumerate() {
@@ -162,4 +162,40 @@ fn cluster_survives_a_backend_kill(frontend: Frontend, transport: TransportMode)
         router.backend(victim).unwrap().breaker().ejections() >= 1,
         "the killed replica was never ejected"
     );
+}
+
+/// With every replica of the model's shard breaker-open there is nothing
+/// to scatter over; the batch must still be answered the way a single
+/// `score` is — each row walks the preference order and falls back to the
+/// ejected backends as a last resort.
+#[test]
+fn batch_scoring_with_every_replica_ejected_falls_back_per_row() {
+    let (bundle, rows, expected) = trained_fixture();
+    let mut cluster = LocalCluster::boot(2, ServerConfig::default()).unwrap();
+    let router = cluster
+        .router(RouterConfig {
+            replication: 2,
+            breaker: BreakerConfig {
+                failure_threshold: 1,
+                probation: Duration::from_secs(60),
+            },
+            // No background prober or sync worker may re-admit a backend
+            // behind the test's back.
+            health_interval: None,
+            sync_interval: None,
+            ..RouterConfig::default()
+        })
+        .unwrap();
+    assert_eq!(cluster.place(&router, "admissions", &bundle).unwrap(), 2);
+    for id in router.replica_set("admissions") {
+        let backend = router.backend(id).unwrap();
+        backend.breaker().record_failure();
+        assert!(backend.breaker().is_open(), "backend {id} is ejected");
+    }
+    let batch = router.score_batch("admissions", &rows[..4]).unwrap();
+    assert_eq!(batch.len(), 4);
+    for (i, (got, want)) in batch.iter().zip(expected.iter()).enumerate() {
+        assert_eq!(got.to_bits(), want.to_bits(), "batch row {i}");
+    }
+    assert_eq!(router.stats().retried_rows(), 4, "every row took the walk");
 }

@@ -8,11 +8,12 @@
 //! bitwise identical to both the pre-crash responses and offline
 //! `predict_proba`.
 //!
-//! Runs once per front-end architecture, like the other end-to-end tests.
+//! Runs on a single reactor and on a 4-thread reactor pool, like the other
+//! end-to-end tests.
 
 use pfr::journal::JournalConfig;
 use pfr::pipeline::{FairPipeline, FairPipelineConfig};
-use pfr::serve::{Frontend, Server, ServerConfig};
+use pfr::serve::{Server, ServerConfig};
 use pfr_data::{synthetic, Dataset};
 use pfr_graph::{fairness, SparseGraph};
 use std::io::{BufRead, BufReader, Write};
@@ -51,15 +52,15 @@ fn scratch_journal_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn hard_crash_then_journal_replay_restores_state_reactor() {
-    hard_crash_then_journal_replay_restores_state(Frontend::reactor(1));
+    hard_crash_then_journal_replay_restores_state(1);
 }
 
 #[test]
-fn hard_crash_then_journal_replay_restores_state_threaded() {
-    hard_crash_then_journal_replay_restores_state(Frontend::Threaded);
+fn hard_crash_then_journal_replay_restores_state_reactor_pool() {
+    hard_crash_then_journal_replay_restores_state(4);
 }
 
-fn hard_crash_then_journal_replay_restores_state(frontend: Frontend) {
+fn hard_crash_then_journal_replay_restores_state(reactors: usize) {
     // --- Offline ground truth. ---------------------------------------------
     let dataset = synthetic::generate_default(79).unwrap();
     let fitted = FairPipeline::new(FairPipelineConfig {
@@ -72,10 +73,10 @@ fn hard_crash_then_journal_replay_restores_state(frontend: Frontend) {
     let (raw, _) = dataset.features_with_protected().unwrap();
     let bundle_text = pfr::core::persistence::bundle_to_string(&fitted.into_bundle().unwrap());
 
-    let journal_dir = scratch_journal_dir(&format!("{frontend:?}"));
+    let journal_dir = scratch_journal_dir(&format!("reactor{reactors}"));
     let journal_config = JournalConfig::new(journal_dir.clone());
     let server_config = || ServerConfig {
-        frontend,
+        reactors,
         journal: Some(journal_config.clone()),
         ..ServerConfig::default()
     };

@@ -4,18 +4,16 @@
 //! `FittedFairPipeline::predict_proba` — plus that the score cache actually
 //! absorbed repeated requests.
 //!
-//! The whole scenario runs across the front-end matrix — threaded,
-//! single-reactor and a 4-thread reactor pool ([`Frontend::Threaded`],
-//! [`Frontend::reactor(1)`](Frontend::reactor) and
-//! [`Frontend::reactor(4)`](Frontend::reactor)): the connection-handling
-//! designs must stay wire-compatible and bit-identical at every pool
-//! width, and keeping all runs in CI is what enforces that differential.
+//! The whole scenario runs on a single reactor and on a 4-thread reactor
+//! pool ([`ServerConfig::reactors`] 1 and 4): the served bytes must be
+//! bit-identical at every pool width, and keeping both runs in CI is what
+//! enforces that differential.
 
 use pfr::pipeline::{FairPipeline, FairPipelineConfig};
-use pfr::serve::{BatcherConfig, Frontend, Server, ServerConfig};
+use pfr::serve::{BatcherConfig, Server, ServerConfig};
 use pfr_data::{split, synthetic, Dataset};
 use pfr_graph::{fairness, SparseGraph};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
@@ -40,20 +38,15 @@ fn roundtrip(reader: &mut BufReader<TcpStream>, writer: &mut TcpStream, line: &s
 
 #[test]
 fn concurrent_tcp_scores_match_offline_predictions_bitwise_reactor() {
-    concurrent_tcp_scores_match_offline_predictions_bitwise(Frontend::reactor(1), "reactor1");
+    concurrent_tcp_scores_match_offline_predictions_bitwise(1);
 }
 
 #[test]
 fn concurrent_tcp_scores_match_offline_predictions_bitwise_reactor_pool() {
-    concurrent_tcp_scores_match_offline_predictions_bitwise(Frontend::reactor(4), "reactor4");
+    concurrent_tcp_scores_match_offline_predictions_bitwise(4);
 }
 
-#[test]
-fn concurrent_tcp_scores_match_offline_predictions_bitwise_threaded() {
-    concurrent_tcp_scores_match_offline_predictions_bitwise(Frontend::Threaded, "threaded");
-}
-
-fn concurrent_tcp_scores_match_offline_predictions_bitwise(frontend: Frontend, label: &str) {
+fn concurrent_tcp_scores_match_offline_predictions_bitwise(reactors: usize) {
     // --- Train offline on synthetic admissions data. -----------------------
     let dataset = synthetic::generate_default(77).unwrap();
     let split = split::train_test_split(&dataset, 0.3, 77).unwrap();
@@ -72,15 +65,15 @@ fn concurrent_tcp_scores_match_offline_predictions_bitwise(frontend: Frontend, l
     let expected = fitted.predict_proba(&test).unwrap();
     let (raw, _) = test.features_with_protected().unwrap();
 
-    // --- Persist the bundle (one scratch file per front-end mode: the
-    // mode variants of this test may run concurrently). ----------------------
+    // --- Persist the bundle (one scratch file per pool width: the variants
+    // of this test may run concurrently). -----------------------------------
     let bundle = fitted.into_bundle().unwrap();
-    let path = std::env::temp_dir().join(format!("pfr_serve_e2e_{label}.bundle"));
+    let path = std::env::temp_dir().join(format!("pfr_serve_e2e_reactor{reactors}.bundle"));
     pfr::core::persistence::save_bundle(&bundle, &path).unwrap();
 
     // --- Serve it. ----------------------------------------------------------
     let server = Server::spawn(ServerConfig {
-        frontend,
+        reactors,
         workers: 4,
         batcher: BatcherConfig {
             max_batch: 16,
@@ -180,20 +173,15 @@ fn concurrent_tcp_scores_match_offline_predictions_bitwise(frontend: Frontend, l
 
 #[test]
 fn server_survives_malformed_traffic_while_serving_reactor() {
-    server_survives_malformed_traffic_while_serving(Frontend::reactor(1));
+    server_survives_malformed_traffic_while_serving(1);
 }
 
 #[test]
 fn server_survives_malformed_traffic_while_serving_reactor_pool() {
-    server_survives_malformed_traffic_while_serving(Frontend::reactor(4));
+    server_survives_malformed_traffic_while_serving(4);
 }
 
-#[test]
-fn server_survives_malformed_traffic_while_serving_threaded() {
-    server_survives_malformed_traffic_while_serving(Frontend::Threaded);
-}
-
-fn server_survives_malformed_traffic_while_serving(frontend: Frontend) {
+fn server_survives_malformed_traffic_while_serving(reactors: usize) {
     let dataset = synthetic::generate_default(78).unwrap();
     let fitted = FairPipeline::default()
         .fit(&dataset, &fairness_graph(&dataset))
@@ -204,7 +192,7 @@ fn server_survives_malformed_traffic_while_serving(frontend: Frontend) {
     let text = pfr::core::persistence::bundle_to_string(&bundle);
 
     let server = Server::spawn(ServerConfig {
-        frontend,
+        reactors,
         ..ServerConfig::default()
     })
     .unwrap();
@@ -224,6 +212,41 @@ fn server_survives_malformed_traffic_while_serving(frontend: Frontend) {
     );
     let response = roundtrip(&mut reader, &mut writer, &line);
     let score: f64 = response.split_whitespace().nth(1).unwrap().parse().unwrap();
+    assert_eq!(score.to_bits(), expected[0].to_bits());
+
+    // A second connection streams 2 MiB with no newline: past the 1 MiB
+    // line bound the server must close that connection instead of
+    // buffering without limit. The read timeout turns a missing guard into
+    // a failure rather than a hang.
+    let flood = TcpStream::connect(server.addr()).unwrap();
+    flood
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let chunk = vec![b'7'; 64 * 1024];
+    for _ in 0..32 {
+        if (&flood).write_all(&chunk).is_err() {
+            break; // the server already hung up
+        }
+    }
+    let mut buf = [0u8; 64];
+    match (&flood).read(&mut buf) {
+        Ok(n) => assert_eq!(n, 0, "expected EOF, got {:?}", &buf[..n]),
+        // Closing with unread input makes the kernel reset the connection.
+        Err(e) => assert!(
+            matches!(e.kind(), ErrorKind::ConnectionReset | ErrorKind::BrokenPipe),
+            "expected the oversized line to close the connection, got {e}"
+        ),
+    }
+
+    // The server itself is unharmed: the first connection and a fresh one
+    // both still get the bitwise-correct score.
+    assert_eq!(roundtrip(&mut reader, &mut writer, &line), response);
+    let fresh = TcpStream::connect(server.addr()).unwrap();
+    fresh.set_nodelay(true).unwrap();
+    let mut fresh_reader = BufReader::new(fresh.try_clone().unwrap());
+    let mut fresh_writer = fresh;
+    let again = roundtrip(&mut fresh_reader, &mut fresh_writer, &line);
+    let score: f64 = again.split_whitespace().nth(1).unwrap().parse().unwrap();
     assert_eq!(score.to_bits(), expected[0].to_bits());
     server.shutdown();
 }
