@@ -11,8 +11,8 @@
 //! over *group-specific thresholds*, picking the pair that minimizes the
 //! equalized-odds violation with accuracy as the tie-breaker. The behaviour
 //! relevant to the paper's figures — near-equal FPR/FNR between groups — is
-//! reproduced; the randomization refinement is noted as a substitution in
-//! `DESIGN.md` §3.
+//! reproduced; the randomization refinement is omitted (see the
+//! [crate-level substitutions](crate#substitutions)).
 
 use crate::error::BaselineError;
 use crate::Result;

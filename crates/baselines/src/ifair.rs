@@ -17,7 +17,7 @@
 //! The original learns per-feature distance weights that suppress the
 //! protected attributes; since the feature matrices in this workspace already
 //! exclude the protected attribute, the obfuscation term plays that role
-//! (noted in `DESIGN.md` §3).
+//! (see the [crate-level substitutions](crate#substitutions)).
 
 use crate::error::BaselineError;
 use crate::prototype;

@@ -17,9 +17,24 @@
 //!   group-specific thresholds.
 //!
 //! iFair and LFR are reimplemented from the cited papers on top of the
-//! shared prototype-softmax machinery in [`prototype`] and optimized with
-//! Adam (`pfr-opt`); see `DESIGN.md` §3 for the substitution notes
-//! (the originals use `scipy.optimize`/L-BFGS).
+//! shared prototype-softmax machinery in [`prototype`]; the substitutions
+//! below record where they and Hardt depart from the originals.
+//!
+//! ## Substitutions
+//!
+//! * **Adam instead of L-BFGS (iFair, LFR).** The originals minimize with
+//!   `scipy.optimize`'s L-BFGS-B. The objectives are smooth but non-convex,
+//!   so the optimizer changes which local optimum is reached, not what is
+//!   optimized. Here `pfr-opt`'s Adam runs a fixed iteration budget (see
+//!   [`IFairConfig`] and [`LfrConfig`]).
+//! * **Obfuscation instead of per-feature weights (iFair).** The original
+//!   learns per-feature distance weights that can suppress the protected
+//!   attributes. This workspace's features already exclude them, so the
+//!   group-obfuscation term does that job and no weights are learned.
+//! * **Deterministic thresholds (Hardt).** The original solves a linear
+//!   program over *randomized* decision rules. [`HardtPostProcessor`]
+//!   grid-searches deterministic group-specific thresholds instead, which
+//!   still brings FPR and FNR close to equal across groups.
 //!
 //! The [`representation::RepresentationMethod`] trait gives the evaluation
 //! harness a uniform interface over all representation learners; the PFR

@@ -197,7 +197,7 @@ fn bench_batched_scoring(c: &mut Criterion) {
             let mut writer = stream;
             // A full round trip proves the reactor has registered the
             // connection before the next admission attempt.
-            writeln!(writer, "STATS").expect("request writes");
+            writeln!(writer, "HEALTH").expect("request writes");
             let mut response = String::new();
             reader.read_line(&mut response).expect("response reads");
             assert!(response.starts_with("OK"), "{response}");

@@ -4,7 +4,8 @@
 //! attribute, rearrest as label, Northpointe decile scores as within-group
 //! ranking side information). That data cannot be bundled here, so this
 //! module generates a *calibrated synthetic substitute* that reproduces the
-//! statistics the evaluation relies on (see `DESIGN.md` §3):
+//! statistics the evaluation relies on (see the
+//! [crate-level substitutions](crate#substitutions)):
 //!
 //! * n = 8803 with group sizes 4218 (others, `s = 0`) and 4585
 //!   (African-American, `s = 1`);

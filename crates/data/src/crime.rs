@@ -5,7 +5,8 @@
 //! label, majority-white communities as the non-protected group) together
 //! with crowd-sourced 1–5 star safety ratings scraped from niche.com for
 //! ~1500 of the communities. Neither source can be bundled offline, so this
-//! module generates a *calibrated synthetic substitute* (see `DESIGN.md` §3):
+//! module generates a *calibrated synthetic substitute* (see the
+//! [crate-level substitutions](crate#substitutions)):
 //!
 //! * n = 1993 with 1423 non-protected (`s = 0`) and 570 protected (`s = 1`)
 //!   communities;

@@ -16,8 +16,18 @@
 //! offline environment, so this crate provides *calibrated synthetic
 //! generators* that reproduce the statistical structure the evaluation relies
 //! on — group sizes, base-rate gaps, feature/label correlations, within-group
-//! score rankings and noisy human side-information. See `DESIGN.md` §3 for
-//! the substitution argument.
+//! score rankings and noisy human side-information.
+//!
+//! ## Substitutions
+//!
+//! The [`compas`] and [`crime`] generators stand in for the real data,
+//! calibrated to what the evaluation depends on: Table 1's group sizes and
+//! base rates, label-correlated features, and the side information behind
+//! the fairness graph (COMPAS: within-group decile scores; Crime: noisy
+//! resident ratings for about 75% of communities). The real feature
+//! distributions are not reproduced, so absolute AUC and consistency differ
+//! from the paper's tables; the method comparisons and trade-off directions
+//! carry over, and `tests/paper_claims.rs` asserts those.
 //!
 //! Main types:
 //!

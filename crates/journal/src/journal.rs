@@ -92,8 +92,9 @@ impl JournalConfig {
     }
 }
 
-/// Live journal telemetry, shared between the writer thread and `STATS`
-/// reporting. All counters are relaxed atomics.
+/// Live journal telemetry, shared between the writer thread and the
+/// `pfr_journal_*` gauges ([`Journal::register_metrics`]). All counters
+/// are relaxed atomics.
 #[derive(Debug, Default)]
 pub struct JournalStats {
     last_seq: AtomicU64,
@@ -144,20 +145,6 @@ impl JournalStats {
     /// The live fsync-latency histogram (nanoseconds per fsync call).
     pub fn fsync_histogram(&self) -> &Arc<pfr_obs::LatencyHisto> {
         &self.fsync_ns
-    }
-
-    /// Renders the snapshot as `key=value` pairs for the `STATS` line.
-    pub fn to_line(&self) -> String {
-        format!(
-            "journal_seq={} journal_segments={} journal_bytes={} \
-             journal_appends={} journal_fsyncs={} journal_unsynced={}",
-            self.last_seq(),
-            self.segments(),
-            self.bytes(),
-            self.appends(),
-            self.fsyncs(),
-            self.unsynced(),
-        )
     }
 }
 
@@ -1097,17 +1084,6 @@ mod tests {
         }
         drop(journal);
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn stats_line_is_key_value_pairs() {
-        let stats = JournalStats::default();
-        stats.last_seq.store(7, Ordering::Relaxed);
-        let line = stats.to_line();
-        assert!(line.contains("journal_seq=7"));
-        for pair in line.split_whitespace() {
-            assert!(pair.contains('='), "malformed pair '{pair}'");
-        }
     }
 
     #[test]

@@ -45,8 +45,8 @@
 //! vector micro-kernels fuse multiply-adds; the property suite bounds that
 //! difference at `1e-9` relative.
 //!
-//! Very small products (`k·n` below [`SMALL_KN`]) skip packing entirely and
-//! run a per-row `i-k-j` loop. The dispatch deliberately ignores the row
+//! Very small products (`k·n` below the private `SMALL_KN` cutoff) skip
+//! packing entirely and run a per-row `i-k-j` loop. The dispatch deliberately ignores the row
 //! count `m`, so batches of different heights take the same code path.
 
 use std::num::NonZeroUsize;

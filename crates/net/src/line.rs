@@ -310,9 +310,9 @@ mod tests {
 
     #[test]
     fn one_byte_reads_and_whole_buffer_reads_yield_identical_frames() {
-        let stream = b"SCORE m 1 2 3\r\nSTATS\n\nQUIT\n";
+        let stream = b"SCORE m 1 2 3\r\nHEALTH\n\nQUIT\n";
         let whole = frames(stream, stream.len());
-        assert_eq!(whole, vec!["SCORE m 1 2 3", "STATS", "", "QUIT"]);
+        assert_eq!(whole, vec!["SCORE m 1 2 3", "HEALTH", "", "QUIT"]);
         for chunk in [1, 2, 3, 7, 16] {
             assert_eq!(frames(stream, chunk), whole, "chunk size {chunk}");
         }
@@ -410,14 +410,14 @@ mod tests {
             .collect();
         let mut stream = b"PUSH model 200\n".to_vec();
         stream.extend_from_slice(&payload);
-        stream.extend_from_slice(b"STATS\n");
+        stream.extend_from_slice(b"HEALTH\n");
         let whole = push_frames(&stream, payload.len(), stream.len());
         assert_eq!(
             whole,
             vec![
                 Frame::Line("PUSH model 200".to_string()),
                 Frame::Payload(payload.clone()),
-                Frame::Line("STATS".to_string()),
+                Frame::Line("HEALTH".to_string()),
             ]
         );
         for chunk in [1, 2, 3, 7, 16, 64] {

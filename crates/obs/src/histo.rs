@@ -174,11 +174,13 @@ impl Snapshot {
 
     /// Folds `other` into `self` bucket-wise: the result is exactly the
     /// histogram that one recorder seeing both streams would have built.
+    /// Counts saturate rather than wrap — merged snapshots may come from
+    /// parsed, peer-supplied scrapes.
     pub fn merge(&mut self, other: &Snapshot) {
         for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-            *mine += theirs;
+            *mine = mine.saturating_add(*theirs);
         }
-        self.count += other.count;
+        self.count = self.count.saturating_add(other.count);
         self.sum = self.sum.saturating_add(other.sum);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
@@ -194,7 +196,7 @@ impl Snapshot {
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
         for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
+            seen = seen.saturating_add(c);
             if seen >= rank {
                 return bucket_high(i).min(self.max);
             }

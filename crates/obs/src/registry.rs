@@ -126,7 +126,9 @@ pub fn render_histogram(out: &mut String, name: &str, labels: &str, snap: &Snaps
         if c == 0 {
             continue;
         }
-        cum += c;
+        // Saturating: a merged scrape of peer-supplied counts can hold
+        // buckets whose sum exceeds u64.
+        cum = cum.saturating_add(c);
         let le = labels_with(labels, "le", &bucket_high(i).to_string());
         out.push_str(&format!("{name}_bucket{le} {cum}\n"));
     }
@@ -193,7 +195,8 @@ impl Scrape {
     /// into snapshots (cumulative counts must be in ascending `le` order,
     /// which [`render_histogram`] guarantees); the derived `_p*` and
     /// `_sum`/`_count` lines of a recognized histogram are absorbed
-    /// rather than kept as scalars.
+    /// rather than kept as scalars. The text is peer-supplied, so it never
+    /// panics: malformed lines are skipped and counts saturate.
     pub fn parse(text: &str) -> Scrape {
         let mut scrape = Scrape::default();
         // Pass 1: which base names are histograms here?
@@ -236,9 +239,11 @@ impl Scrape {
                 let (Ok(le), Ok(cum)) = (le.parse::<u64>(), value.parse::<u64>()) else {
                     continue;
                 };
+                // Counts come off the wire: out-of-order or absurd
+                // cumulative values must clamp, never overflow.
                 let prev = last_cum.insert(key, cum).unwrap_or(0);
-                let idx = bucket_index(le);
-                snap.buckets[idx] += cum.saturating_sub(prev);
+                let bucket = &mut snap.buckets[bucket_index(le)];
+                *bucket = bucket.saturating_add(cum.saturating_sub(prev));
                 continue;
             }
             // Histogram-derived lines: fold into the snapshot, not scalars.
@@ -390,6 +395,35 @@ mod tests {
         let rendered = merged.render();
         assert!(rendered.contains("reqs_total 7\n"));
         assert!(rendered.contains("lat_ns_count 3\n"));
+    }
+
+    #[test]
+    fn non_monotonic_cumulative_buckets_saturate_instead_of_overflowing() {
+        // A peer whose cumulative counts go down and back up again: each
+        // re-ascent adds to the bucket, and two of them exceed u64.
+        let text = "x_bucket{le=\"7\"} 9223372036854775808\n\
+                    x_bucket{le=\"8\"} 0\n\
+                    x_bucket{le=\"7\"} 9223372036854775808\n";
+        let scrape = Scrape::parse(text);
+        let snap = scrape.histogram("x").unwrap();
+        assert_eq!(snap.buckets[bucket_index(7)], u64::MAX);
+        assert!(scrape
+            .render()
+            .contains("x_bucket{le=\"7\"} 18446744073709551615\n"));
+    }
+
+    #[test]
+    fn merging_huge_counts_saturates_instead_of_wrapping() {
+        let text = "x_bucket{le=\"7\"} 18446744073709551615\n\
+                    x_bucket{le=\"+Inf\"} 18446744073709551615\n\
+                    x_count 18446744073709551615\n";
+        let mut merged = Scrape::parse(text);
+        merged.merge(&Scrape::parse(text));
+        let snap = merged.histogram("x").unwrap();
+        assert_eq!(snap.count, u64::MAX);
+        assert_eq!(snap.buckets[bucket_index(7)], u64::MAX);
+        assert_eq!(snap.p50(), 7);
+        assert!(merged.render().contains("x_count 18446744073709551615\n"));
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //! backend, a list of backends, or a whole routing tier at once.
 //!
 //! Every stage is observable: the worker's counters
-//! (`refits_attempted/gated/swapped`, cursor position, drift checks) ride
-//! the serving STATS line via
-//! [`pfr_serve::Server::attach_stats_source`].
+//! (`pfr_refit_{attempted,gated,swapped}_total`, cursor position and lag,
+//! drift checks) register on the serving tier's `METRICS` exposition via
+//! [`RefitStats::register_metrics`] on [`pfr_serve::Server::metrics`].
 //!
 //! ```text
 //!   clients ──► serving tier ──► journal segments ──► JournalCursor

@@ -106,10 +106,12 @@ impl RefitConfig {
     }
 }
 
-/// Shared refit counters; rendered onto the serving STATS line via
-/// [`RefitStats::to_line`]. `refit_cursor_seq` sits next to the journal's
-/// own `journal_seq`, so cursor lag is their difference; `refit_caught_up`
-/// is `1` when the last pump drained the tail completely.
+/// Shared refit counters, exposed as `pfr_refit_*` gauges by
+/// [`RefitStats::register_metrics`]. `pfr_refit_cursor_seq` sits next to
+/// the journal's own `pfr_journal_seq`, so cursor lag is their difference
+/// (`pfr_refit_cursor_lag` when a journal tip is supplied);
+/// `pfr_refit_caught_up` is `1` when the last pump drained the tail
+/// completely.
 #[derive(Debug, Default)]
 pub struct RefitStats {
     frames_seen: AtomicU64,
@@ -158,9 +160,8 @@ impl RefitStats {
     }
 
     /// Registers every refit counter on `registry` as `pfr_refit_*`
-    /// gauges (mirroring [`RefitStats::to_line`]'s fields), plus
-    /// `pfr_refit_cursor_lag` — how many journal records the cursor
-    /// trails the writer by — when a `journal_tip` reader (typically
+    /// gauges, plus `pfr_refit_cursor_lag` — how many journal records the
+    /// cursor trails the writer by — when a `journal_tip` reader (typically
     /// `JournalStats::last_seq` of the journal being tailed) is supplied.
     /// Call once at startup; the gauges read live values at scrape time.
     pub fn register_metrics(
@@ -193,25 +194,6 @@ impl RefitStats {
                 Arc::new(move || tip().saturating_sub(stats.cursor_seq()) as f64),
             );
         }
-    }
-
-    /// Space-separated `key=value` rendering for the STATS line.
-    pub fn to_line(&self) -> String {
-        format!(
-            "refit_cursor_seq={} refit_caught_up={} refit_frames_seen={} \
-             refit_frames_folded={} refit_drift_checks={} refit_drift_detected={} \
-             refits_attempted={} refits_gated={} refits_swapped={} refit_rebases={}",
-            self.cursor_seq(),
-            self.caught_up() as u8,
-            self.frames_seen(),
-            self.frames_folded(),
-            self.drift_checks(),
-            self.drift_detected(),
-            self.refits_attempted(),
-            self.refits_gated(),
-            self.refits_swapped(),
-            self.rebases(),
-        )
     }
 }
 
@@ -557,13 +539,6 @@ impl RefitWorker {
     /// Shared counters.
     pub fn stats(&self) -> Arc<RefitStats> {
         Arc::clone(&self.stats)
-    }
-
-    /// A stats source renderable onto a server STATS line
-    /// ([`pfr_serve::Server::attach_stats_source`]).
-    pub fn stats_source(&self) -> Arc<dyn Fn() -> String + Send + Sync> {
-        let stats = Arc::clone(&self.stats);
-        Arc::new(move || stats.to_line())
     }
 
     /// The last error the worker thread recorded, if any.

@@ -133,8 +133,8 @@ impl ScoreCache {
     }
 
     /// Current number of **live** entries: expired-but-untouched entries
-    /// are purged before counting, so capacity accounting and the `STATS`
-    /// `cache_entries=` gauge never report corpses.
+    /// are purged before counting, so capacity accounting and the
+    /// `pfr_serve_cache_entries` gauge never report corpses.
     pub fn len(&mut self) -> usize {
         self.purge_expired();
         self.entries.len()
@@ -146,7 +146,7 @@ impl ScoreCache {
     }
 
     /// Removes every entry whose TTL deadline has passed. O(n) over the
-    /// cache, so it runs lazily: from `len` (rare — STATS requests) and
+    /// cache, so it runs lazily: from `len` (rare — `METRICS` scrapes) and
     /// from inserts that overflow capacity (where evicting a corpse first
     /// keeps live entries from being displaced by dead ones).
     fn purge_expired(&mut self) {

@@ -21,8 +21,9 @@
 //!   hot swaps invalidate implicitly via the generation. Optional TTL
 //!   expiry and per-model capacity bounds via [`CachePolicy`].
 //! * [`Server`] — a line-delimited TCP protocol (`LOAD` / `SCORE` /
-//!   `TRANSFORM` / `STATS` / `HEALTH` / `EPOCH` / `QUIT`) with per-verb
-//!   latency and hit-rate counters ([`ServerStats`]), a pool of epoll
+//!   `TRANSFORM` / `METRICS` / `HEALTH` / `EPOCH` / `QUIT`) with per-verb
+//!   latency and hit-rate counters ([`ServerStats`]) exposed through one
+//!   `METRICS` scrape ([`Server::metrics`]), a pool of epoll
 //!   reactor threads multiplexing every connection, and a graceful
 //!   shutdown that closes every connection and joins every reactor.
 //!   `HEALTH` and `EPOCH` exist for the `pfr-router` tier: liveness and
@@ -75,7 +76,7 @@ pub use pool::WorkerPool;
 pub use protocol::Request;
 pub use registry::ModelRegistry;
 pub use server::{RecoveryReport, Server, ServerConfig};
-pub use stats::{InflightGuard, ServerStats, VerbStats};
+pub use stats::{ServerStats, VerbStats};
 
 /// Convenient result alias used across the crate.
 pub type Result<T> = std::result::Result<T, ServeError>;

@@ -9,10 +9,11 @@
 //!    text — newlines inside the payload are data, not framing)
 //! SCORE <name> v1 v2 ... vm     -> OK <probability> <hard-label>
 //! TRANSFORM <name> v1 ... vm    -> OK z1 z2 ... zd
-//! STATS                         -> OK key=value key=value ...
 //! HEALTH                        -> OK up models=<n> swaps=<s> queue=<q>
 //! EPOCH <name>                  -> OK <name> generation=<g> digest=<hex>
 //! METRICS                       -> OK <escaped Prometheus-style text>
+//!                                  (the one telemetry verb: every counter,
+//!                                   gauge and latency histogram)
 //! TRACE <id>                    -> OK <escaped span-tree text>
 //! CATALOG                       -> OK epoch=<e> writer=<w> digest=<hex>
 //!                                  (or OK none when no catalog is held)
@@ -38,7 +39,7 @@
 //! (typically the routing tier placing a replica) ships the serialized
 //! [`ModelBundle`](pfr_core::persistence::ModelBundle) text over the wire
 //! as a counted payload instead of naming a path the server must be able
-//! to read. `PUSH` requests are counted under the `load` stats verb.
+//! to read. `PUSH` requests are counted under the `load` verb bucket.
 //!
 //! `CATALOG` and `SYNC` make every backend a **replication point for the
 //! router tier's placement catalog** (`pfr-control`): a router publishes
@@ -124,8 +125,6 @@ pub enum Request {
         /// Trace id from an optional trailing `T=<hex>` token.
         trace: Option<u64>,
     },
-    /// Report serving statistics.
-    Stats,
     /// Liveness probe: model count, hot-swap count and in-flight queue depth.
     Health,
     /// Report the named model's generation and content digest.
@@ -235,12 +234,6 @@ pub fn parse_request(line: &str) -> Result<Request> {
                     trace,
                 })
             }
-        }
-        "STATS" => {
-            if !parts.is_empty() {
-                return Err(ServeError::Protocol("STATS takes no arguments".to_string()));
-            }
-            Ok(Request::Stats)
         }
         "HEALTH" => {
             if !parts.is_empty() {
@@ -362,7 +355,6 @@ mod tests {
                 trace: None
             }
         );
-        assert_eq!(parse_request("STATS").unwrap(), Request::Stats);
         assert_eq!(parse_request("HEALTH").unwrap(), Request::Health);
         assert_eq!(parse_request("METRICS").unwrap(), Request::Metrics);
         assert_eq!(
@@ -389,7 +381,7 @@ mod tests {
         );
         assert_eq!(parse_request("QUIT").unwrap(), Request::Quit);
         // Verbs are case-insensitive, arguments are not.
-        assert_eq!(parse_request("stats").unwrap(), Request::Stats);
+        assert_eq!(parse_request("metrics").unwrap(), Request::Metrics);
         assert_eq!(parse_request("health").unwrap(), Request::Health);
         assert_eq!(
             parse_request("catalog full").unwrap(),
@@ -415,7 +407,6 @@ mod tests {
             "SCORE",
             "SCORE risk",
             "SCORE risk notanumber",
-            "STATS extra",
             "HEALTH now",
             "EPOCH",
             "EPOCH a b",
@@ -435,6 +426,9 @@ mod tests {
         ] {
             assert!(parse_request(bad).is_err(), "'{bad}' should be rejected");
         }
+        // METRICS is the one telemetry verb; STATS is not a verb.
+        let err = parse_request("stats").unwrap_err().to_string();
+        assert!(err.contains("unknown verb 'STATS'"), "{err}");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! ```text
 //!                    ┌────────────────────── reactor thread ──┐ × N
 //! clients ──epoll──► │ accept / LineConn fill / parse         │
-//!                    │  inline: cache hit, STATS, HEALTH,     │──► replies
+//!                    │  inline: cache hit, METRICS, HEALTH,   │──► replies
 //!                    │          EPOCH, parse errors, QUIT     │
 //!                    │  async:  SCORE miss ► MicroBatcher ┐   │
 //!                    │          TRANSFORM/LOAD/PUSH ► pool │ │
@@ -32,6 +32,12 @@
 //! live count is a process-wide atomic; concurrent reactors may briefly
 //! overshoot the limit by at most the pool width, which is the accepted
 //! cost of keeping the admission check lock-free.
+//!
+//! **One verb path.** Every verb that answers on the reactor thread goes
+//! through `answer_inline` (in-flight gauge, handler, latency record,
+//! ordered emit), and every verb bound for the worker pool through
+//! `offload`; only `SCORE` keeps its own path, because its cache hit and
+//! batcher hand-off are the hot path.
 //!
 //! Work that can block (scoring, transforms, disk loads) never runs on the
 //! reactor: it is submitted to the existing micro-batcher/worker pool with
@@ -329,31 +335,15 @@ struct Reactor {
 /// single scrape.
 fn register_loop_gauges(context: &ServeContext, index: usize, stats: &Arc<LoopStats>) {
     let reactor = index.to_string();
-    let labels: &[(&str, &str)] = &[("reactor", &reactor)];
-    let s = Arc::clone(stats);
-    context.metrics.gauge(
-        "pfr_net_polls_total",
-        labels,
-        Arc::new(move || s.polls() as f64),
-    );
-    let s = Arc::clone(stats);
-    context.metrics.gauge(
-        "pfr_net_poll_wait_ns_total",
-        labels,
-        Arc::new(move || s.wait_ns() as f64),
-    );
-    let s = Arc::clone(stats);
-    context.metrics.gauge(
-        "pfr_net_ready_events",
-        labels,
-        Arc::new(move || s.last_ready() as f64),
-    );
-    let s = Arc::clone(stats);
-    context.metrics.gauge(
-        "pfr_net_wheel_depth",
-        labels,
-        Arc::new(move || s.wheel_depth() as f64),
-    );
+    let gauge = |name: &str, read: fn(&LoopStats) -> u64| {
+        let s = Arc::clone(stats);
+        let read = Arc::new(move || read(&s) as f64);
+        context.metrics.gauge(name, &[("reactor", &reactor)], read);
+    };
+    gauge("pfr_net_polls_total", LoopStats::polls);
+    gauge("pfr_net_poll_wait_ns_total", LoopStats::wait_ns);
+    gauge("pfr_net_ready_events", LoopStats::last_ready);
+    gauge("pfr_net_wheel_depth", LoopStats::wheel_depth);
 }
 
 impl Reactor {
@@ -591,63 +581,36 @@ impl Reactor {
         let seq = conn.next_seq;
         conn.next_seq += 1;
         let context = Arc::clone(&self.context);
-        let stats = &context.stats;
         match protocol::parse_request(line) {
             Err(e) => {
-                stats.record_parse_error();
+                context.stats.record_parse_error();
                 self.emit(token, seq, protocol::err_response(&e));
             }
             Ok(Request::Quit) => {
                 conn.quit_at = Some(seq);
                 self.emit(token, seq, protocol::ok_response("bye"));
             }
-            Ok(Request::Stats) => {
-                let start = Instant::now();
-                stats.inflight_enter();
-                let payload = context.stats_line();
-                stats.inflight_exit();
-                stats.stats.record(start.elapsed(), true);
-                self.emit(token, seq, protocol::ok_response(&payload));
-            }
-            Ok(Request::Health) => {
-                let start = Instant::now();
-                stats.inflight_enter();
-                let payload = server::handle_health(&context);
-                stats.inflight_exit();
-                stats.health.record(start.elapsed(), true);
-                self.emit(token, seq, protocol::ok_response(&payload));
-            }
+            Ok(Request::Health) => self.answer_inline(token, seq, &context.stats.health, |ctx| {
+                Ok(server::handle_health(ctx))
+            }),
             Ok(Request::Epoch { name }) => {
-                let start = Instant::now();
-                stats.inflight_enter();
-                let outcome = server::handle_epoch(&context, &name);
-                stats.inflight_exit();
-                stats.epoch.record(start.elapsed(), outcome.is_ok());
-                self.emit(token, seq, render(outcome));
+                self.answer_inline(token, seq, &context.stats.epoch, |ctx| {
+                    server::handle_epoch(ctx, &name)
+                })
             }
-            Ok(Request::Metrics) => {
-                let start = Instant::now();
-                stats.inflight_enter();
-                let payload = context.metrics_payload();
-                stats.inflight_exit();
-                stats.stats.record(start.elapsed(), true);
-                self.emit(token, seq, protocol::ok_response(&payload));
-            }
+            Ok(Request::Metrics) => self.answer_inline(token, seq, &context.stats.metrics, |ctx| {
+                // The full exposition, escaped onto one line.
+                Ok(pfr_obs::escape_multiline(&ctx.metrics.render()))
+            }),
             Ok(Request::Trace { id }) => {
-                let start = Instant::now();
-                stats.inflight_enter();
-                let outcome = context.trace_payload(id);
-                stats.inflight_exit();
-                stats.stats.record(start.elapsed(), outcome.is_ok());
-                self.emit(token, seq, render(outcome));
+                self.answer_inline(token, seq, &context.stats.metrics, |ctx| {
+                    ctx.trace_payload(id)
+                })
             }
             Ok(Request::Catalog { full }) => {
-                let start = Instant::now();
-                stats.inflight_enter();
-                let payload = server::handle_catalog(&context, full);
-                stats.inflight_exit();
-                stats.catalog.record(start.elapsed(), true);
-                self.emit(token, seq, protocol::ok_response(&payload));
+                self.answer_inline(token, seq, &context.stats.catalog, |ctx| {
+                    Ok(server::handle_catalog(ctx, full))
+                })
             }
             Ok(Request::Sync { nbytes }) => {
                 // Header parsed; switch the connection into payload mode.
@@ -708,15 +671,9 @@ impl Reactor {
         let push = match pending {
             PendingPayload::Sync { seq } => {
                 let context = Arc::clone(&self.context);
-                let start = Instant::now();
-                context.stats.inflight_enter();
-                let outcome = server::handle_sync(&context, &payload);
-                context.stats.inflight_exit();
-                context
-                    .stats
-                    .catalog
-                    .record(start.elapsed(), outcome.is_ok());
-                self.emit(token, seq, render(outcome));
+                self.answer_inline(token, seq, &context.stats.catalog, |ctx| {
+                    server::handle_sync(ctx, &payload)
+                });
                 return;
             }
             PendingPayload::Push(push) => push,
@@ -730,8 +687,7 @@ impl Reactor {
         if let Some(s) = span.as_mut() {
             s.event("payload-read");
         }
-        let context = Arc::clone(&self.context);
-        context.stats.inflight_enter();
+        self.context.stats.inflight_enter();
         let meta = PendingMeta {
             verb: AsyncVerb::Load,
             start: Instant::now(),
@@ -740,25 +696,13 @@ impl Reactor {
             span,
             trace,
         };
-        let sink = self.sink(token, seq);
-        if let Some(conn) = self.conns.get_mut(&token) {
-            conn.pending.insert(seq, meta);
-        }
-        let job_context = Arc::clone(&context);
-        let job = move || {
-            // The span stays on the reactor (in `PendingMeta`), so the
-            // worker-side journal/install events are folded into the
-            // single "install" event recorded at completion.
-            let outcome = server::handle_push(&job_context, &name, &payload, None);
-            sink.send_text(outcome);
-        };
-        if let Err(e) = context.pool.execute(job) {
-            self.apply(Completion {
-                token,
-                seq,
-                outcome: Outcome::Text(Err(e)),
-            });
-        }
+        let context = Arc::clone(&self.context);
+        // The span stays on the reactor (in `PendingMeta`), so the
+        // worker-side journal/install events are folded into the single
+        // "install" event recorded at completion.
+        self.offload(token, seq, meta, move || {
+            server::handle_push(&context, &name, &payload, None)
+        });
     }
 
     /// `SCORE`: cache hits answer inline; misses go through the batcher.
@@ -911,32 +855,17 @@ impl Reactor {
             span,
             trace,
         };
-        let sink = self.sink(token, seq);
-        if let Some(conn) = self.conns.get_mut(&token) {
-            conn.pending.insert(seq, meta);
-        }
-        let job = move || {
-            let outcome = (|| -> Result<String> {
-                let x = pfr_linalg::Matrix::from_vec(1, features.len(), features)
-                    .map_err(ServeError::model)?;
-                let z = model.transform_batch(&x)?;
-                Ok(protocol::format_numbers(z.row(0)))
-            })();
-            sink.send_text(outcome);
-        };
-        if let Err(e) = context.pool.execute(job) {
-            self.apply(Completion {
-                token,
-                seq,
-                outcome: Outcome::Text(Err(e)),
-            });
-        }
+        self.offload(token, seq, meta, move || {
+            let x = pfr_linalg::Matrix::from_vec(1, features.len(), features)
+                .map_err(ServeError::model)?;
+            let z = model.transform_batch(&x)?;
+            Ok(protocol::format_numbers(z.row(0)))
+        });
     }
 
     /// `LOAD`: disk io runs on the worker pool, not the reactor.
     fn dispatch_load(&mut self, token: u64, seq: u64, name: String, path: String) {
-        let context = Arc::clone(&self.context);
-        context.stats.inflight_enter();
+        self.context.stats.inflight_enter();
         let meta = PendingMeta {
             verb: AsyncVerb::Load,
             start: Instant::now(),
@@ -945,16 +874,47 @@ impl Reactor {
             span: None,
             trace: None,
         };
+        let context = Arc::clone(&self.context);
+        self.offload(token, seq, meta, move || {
+            server::handle_load(&context, &name, Path::new(&path))
+        });
+    }
+
+    /// Answers a verb on the reactor thread: the handler runs inside the
+    /// in-flight gauge (so `HEALTH`'s `queue=` counts itself), its latency
+    /// and outcome land on `verb`, and the response is emitted in order.
+    fn answer_inline(
+        &mut self,
+        token: u64,
+        seq: u64,
+        verb: &VerbStats,
+        handler: impl FnOnce(&ServeContext) -> Result<String>,
+    ) {
+        let start = Instant::now();
+        let stats = &self.context.stats;
+        stats.inflight_enter();
+        let outcome = handler(&self.context);
+        stats.inflight_exit();
+        verb.record(start.elapsed(), outcome.is_ok());
+        self.emit(token, seq, render(outcome));
+    }
+
+    /// Runs `job` on the worker pool and parks `meta` until its completion
+    /// comes back through the sink. The caller has already raised the
+    /// in-flight gauge; [`Reactor::apply`] lowers it, also when the pool
+    /// refuses the job (shutdown race), which is answered inline.
+    fn offload(
+        &mut self,
+        token: u64,
+        seq: u64,
+        meta: PendingMeta,
+        job: impl FnOnce() -> Result<String> + Send + 'static,
+    ) {
         let sink = self.sink(token, seq);
         if let Some(conn) = self.conns.get_mut(&token) {
             conn.pending.insert(seq, meta);
         }
-        let job_context = Arc::clone(&context);
-        let job = move || {
-            let outcome = server::handle_load(&job_context, &name, Path::new(&path));
-            sink.send_text(outcome);
-        };
-        if let Err(e) = context.pool.execute(job) {
+        if let Err(e) = self.context.pool.execute(move || sink.send_text(job())) {
             self.apply(Completion {
                 token,
                 seq,
@@ -1218,7 +1178,11 @@ mod tests {
     #[test]
     fn connections_past_the_limit_are_shed_with_a_busy_line() {
         let (bundle, x) = toy_bundle();
-        let server = Server::spawn(ServerConfig::new().with_max_connections(Some(1))).unwrap();
+        let server = Server::spawn(ServerConfig {
+            max_connections: Some(1),
+            ..ServerConfig::default()
+        })
+        .unwrap();
         let text = persistence::bundle_to_string(&bundle);
         server.registry().load_from_str("risk", &text).unwrap();
         let line = format!("SCORE risk {}", protocol::format_numbers(x.row(0)));
@@ -1242,8 +1206,7 @@ mod tests {
         assert_eq!(busy.trim_end(), protocol::BUSY);
         let mut rest = String::new();
         assert_eq!(shed_reader.read_line(&mut rest).unwrap(), 0, "want EOF");
-        let stats = server.stats().to_line();
-        assert!(stats.contains("sheds=1"), "{stats}");
+        assert_eq!(server.stats().sheds(), 1);
 
         // Releasing the admitted connection frees the slot.
         writeln!(writer, "QUIT").unwrap();
@@ -1278,7 +1241,11 @@ mod tests {
     #[test]
     fn a_reactor_pool_serves_connections_on_every_thread() {
         let (bundle, x) = toy_bundle();
-        let server = Server::spawn(ServerConfig::new().with_reactors(4)).unwrap();
+        let server = Server::spawn(ServerConfig {
+            reactors: 4,
+            ..ServerConfig::default()
+        })
+        .unwrap();
         let text = persistence::bundle_to_string(&bundle);
         server.registry().load_from_str("risk", &text).unwrap();
         let model = server.registry().get("risk").unwrap();

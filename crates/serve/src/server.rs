@@ -78,7 +78,7 @@ pub struct ServerConfig {
     /// Most simultaneously connected clients the server admits (`None` =
     /// unlimited). A connection accepted past the limit is **shed**:
     /// answered with one [`crate::protocol::BUSY`] line and closed, and
-    /// counted under `sheds=` on the `STATS` line. Load-shedding protects
+    /// counted by `pfr_serve_sheds_total` on `METRICS`. Load-shedding protects
     /// tail latency for the connections already admitted; the routing tier
     /// treats `BUSY` as "walk on to another replica".
     pub max_connections: Option<usize>,
@@ -114,100 +114,19 @@ impl Default for ServerConfig {
     }
 }
 
-/// Builder-style constructors so call sites read as intent instead of
-/// positional struct literals: `ServerConfig::new().with_reactors(4)
-/// .with_max_connections(Some(10_000))`.
-impl ServerConfig {
-    /// The default configuration (same as [`ServerConfig::default`]).
-    pub fn new() -> ServerConfig {
-        ServerConfig::default()
-    }
-
-    /// Sets the bind address.
-    pub fn with_addr(mut self, addr: impl Into<String>) -> ServerConfig {
-        self.addr = addr.into();
-        self
-    }
-
-    /// Sets the reactor pool width (clamped to at least 1).
-    pub fn with_reactors(mut self, reactors: usize) -> ServerConfig {
-        self.reactors = reactors;
-        self
-    }
-
-    /// Sets the scoring worker-pool size.
-    pub fn with_workers(mut self, workers: usize) -> ServerConfig {
-        self.workers = workers;
-        self
-    }
-
-    /// Sets the micro-batching parameters.
-    pub fn with_batcher(mut self, batcher: BatcherConfig) -> ServerConfig {
-        self.batcher = batcher;
-        self
-    }
-
-    /// Sets the score-cache capacity (0 disables caching).
-    pub fn with_cache_capacity(mut self, capacity: usize) -> ServerConfig {
-        self.cache_capacity = capacity;
-        self
-    }
-
-    /// Restricts the wire-facing `LOAD` verb to bundles under `dir`.
-    pub fn with_bundle_dir(mut self, dir: Option<std::path::PathBuf>) -> ServerConfig {
-        self.bundle_dir = dir;
-        self
-    }
-
-    /// Sets the idle-connection timeout.
-    pub fn with_idle_timeout(mut self, timeout: Option<Duration>) -> ServerConfig {
-        self.idle_timeout = timeout;
-        self
-    }
-
-    /// Enables write-ahead journaling.
-    pub fn with_journal(mut self, journal: Option<JournalConfig>) -> ServerConfig {
-        self.journal = journal;
-        self
-    }
-
-    /// Sets the connection limit (see
-    /// [`ServerConfig::max_connections`]).
-    pub fn with_max_connections(mut self, limit: Option<usize>) -> ServerConfig {
-        self.max_connections = limit;
-        self
-    }
-
-    /// Traces one in every `every` untraced requests (0 disables
-    /// server-initiated sampling; wire-token traces are always recorded).
-    pub fn with_trace_sampling(mut self, every: u64) -> ServerConfig {
-        self.trace_sample_every = every;
-        self
-    }
-
-    /// Journals the span breakdown of traced requests slower than
-    /// `threshold` (see [`ServerConfig::slow_trace_threshold`]).
-    pub fn with_slow_trace_threshold(mut self, threshold: Option<Duration>) -> ServerConfig {
-        self.slow_trace_threshold = threshold;
-        self
-    }
-}
-
 /// Everything the request paths share across the reactor pool.
 pub(crate) struct ServeContext {
     pub(crate) registry: ModelRegistry,
-    pub(crate) cache: Mutex<ScoreCache>,
+    pub(crate) cache: Arc<Mutex<ScoreCache>>,
     pub(crate) batcher: MicroBatcher,
     pub(crate) pool: Arc<crate::pool::WorkerPool>,
     pub(crate) stats: Arc<ServerStats>,
     pub(crate) bundle_dir: Option<std::path::PathBuf>,
     pub(crate) journal: Option<Arc<Journal>>,
-    /// What the last [`Server::recover_from_journal`] rebuilt; rendered on
-    /// the `STATS` line so replay truncation/skips are visible at runtime.
-    recovery: Mutex<Option<RecoveryReport>>,
-    /// Extra `key=value` stats sources attached by co-located subsystems
-    /// (e.g. an in-process refit worker riding the `STATS` line).
-    extra_stats: Mutex<Vec<Arc<dyn Fn() -> String + Send + Sync>>>,
+    /// What the last [`Server::recover_from_journal`] rebuilt; exposed as
+    /// the `pfr_serve_recovered_*` gauges so replay truncation/skips are
+    /// visible at runtime.
+    recovery: Arc<Mutex<Option<RecoveryReport>>>,
     /// Every counter/gauge/histogram this process exposes via `METRICS`.
     pub(crate) metrics: Arc<MetricsRegistry>,
     /// Span rings the `TRACE` verb reads back (one per reactor thread).
@@ -225,37 +144,6 @@ pub(crate) struct ServeContext {
 }
 
 impl ServeContext {
-    /// The `STATS` payload: the atomic counters plus the live cache-entry
-    /// gauge (expired entries are purged before counting, so the gauge
-    /// reflects what the cache actually holds) and, when journaling is on,
-    /// the journal's own counters (seq, segments, bytes, fsync lag), the
-    /// last recovery's replay accounting, and any attached extra sources.
-    pub(crate) fn stats_line(&self) -> String {
-        let entries = self.cache.lock().expect("cache lock poisoned").len();
-        let mut line = format!("{} cache_entries={entries}", self.stats.to_line());
-        if let Some(journal) = &self.journal {
-            line.push(' ');
-            line.push_str(&journal.stats().to_line());
-        }
-        if let Some(report) = *self.recovery.lock().expect("recovery lock poisoned") {
-            line.push(' ');
-            line.push_str(&report.to_line());
-        }
-        for source in self
-            .extra_stats
-            .lock()
-            .expect("extra stats lock poisoned")
-            .iter()
-        {
-            let extra = source();
-            if !extra.is_empty() {
-                line.push(' ');
-                line.push_str(&extra);
-            }
-        }
-        line
-    }
-
     /// Appends a journal record if journaling is configured. The record is
     /// built lazily so the non-journaling hot path pays nothing. An append
     /// failure fails the request: a server that promised durability must
@@ -310,11 +198,6 @@ impl ServeContext {
         }
     }
 
-    /// The `METRICS` payload: the full exposition, escaped onto one line.
-    pub(crate) fn metrics_payload(&self) -> String {
-        pfr_obs::escape_multiline(&self.metrics.render())
-    }
-
     /// The `TRACE <id>` payload: every recorded span under `id`, escaped
     /// onto one line. Unknown ids are an error — either the id was never
     /// sampled here or its spans have been evicted.
@@ -355,24 +238,44 @@ pub struct RecoveryReport {
     pub truncated_bytes: u64,
 }
 
-impl RecoveryReport {
-    /// Renders the report as `key=value` pairs for the `STATS` line, so the
-    /// otherwise-invisible replay accounting (notably `skipped` frames and
-    /// `truncated_bytes`) is observable at runtime.
-    pub fn to_line(&self) -> String {
-        format!(
-            "recovered_frames={} recovered_installs={} recovered_scores={} \
-             recovered_warmed={} recovered_skipped={} recovered_last_seq={} \
-             recovered_truncated_bytes={}",
-            self.frames,
-            self.installs,
-            self.scores,
-            self.warmed,
-            self.skipped,
-            self.last_seq,
-            self.truncated_bytes,
-        )
-    }
+/// Registers the gauges only the serving context can read: the live
+/// cache-entry count (`len` purges expired entries first, so the gauge
+/// reports what the cache actually holds) and, with a journal, the last
+/// [`RecoveryReport`] (all zero until a recovery runs). The gauges hold the
+/// cache and the recovery slot, never the context: the context owns the
+/// registry, so capturing it would leak the whole server state.
+fn register_context_gauges(
+    metrics: &MetricsRegistry,
+    cache: &Arc<Mutex<ScoreCache>>,
+    recovery: Option<&Arc<Mutex<Option<RecoveryReport>>>>,
+) {
+    let live = Arc::clone(cache);
+    metrics.gauge(
+        "pfr_serve_cache_entries",
+        &[],
+        Arc::new(move || live.lock().expect("cache lock poisoned").len() as f64),
+    );
+    let Some(recovery) = recovery else {
+        return;
+    };
+    let gauge = |name: &str, read: fn(&RecoveryReport) -> u64| {
+        let slot = Arc::clone(recovery);
+        metrics.gauge(
+            name,
+            &[],
+            Arc::new(move || {
+                let report = *slot.lock().expect("recovery lock poisoned");
+                report.map_or(0, |r| read(&r)) as f64
+            }),
+        );
+    };
+    gauge("pfr_serve_recovered_frames", |r| r.frames);
+    gauge("pfr_serve_recovered_installs", |r| r.installs as u64);
+    gauge("pfr_serve_recovered_scores", |r| r.scores as u64);
+    gauge("pfr_serve_recovered_warmed", |r| r.warmed as u64);
+    gauge("pfr_serve_recovered_skipped", |r| r.skipped as u64);
+    gauge("pfr_serve_recovered_last_seq", |r| r.last_seq);
+    gauge("pfr_serve_recovered_truncated_bytes", |r| r.truncated_bytes);
 }
 
 /// A running server: address, shared state handles, and shutdown control.
@@ -413,11 +316,18 @@ impl Server {
             )),
             None => None,
         };
+        let cache = Arc::new(Mutex::new(ScoreCache::with_policy(CachePolicy {
+            capacity: config.cache_capacity,
+            ttl: config.cache_ttl,
+            per_model: config.cache_per_model,
+        })));
+        let recovery = Arc::new(Mutex::new(None));
         let metrics = Arc::new(MetricsRegistry::new());
         stats.register_metrics(&metrics);
         if let Some(journal) = &journal {
             journal.register_metrics(&metrics);
         }
+        register_context_gauges(&metrics, &cache, journal.is_some().then_some(&recovery));
         let traces = Arc::new(TraceStore::new());
         {
             let traces = Arc::clone(&traces);
@@ -429,18 +339,13 @@ impl Server {
         }
         let context = Arc::new(ServeContext {
             registry: ModelRegistry::new(),
-            cache: Mutex::new(ScoreCache::with_policy(CachePolicy {
-                capacity: config.cache_capacity,
-                ttl: config.cache_ttl,
-                per_model: config.cache_per_model,
-            })),
+            cache,
             batcher,
             pool,
             stats,
             bundle_dir: config.bundle_dir.clone(),
             journal,
-            recovery: Mutex::new(None),
-            extra_stats: Mutex::new(Vec::new()),
+            recovery,
             metrics,
             traces,
             sampler: Sampler::new(config.trace_sample_every),
@@ -617,17 +522,6 @@ impl Server {
             .recovery
             .lock()
             .expect("recovery lock poisoned")
-    }
-
-    /// Attaches an extra stats source whose `key=value` output is appended
-    /// to every `STATS` response — how co-located subsystems (the refit
-    /// worker) ride the serving tier's telemetry line.
-    pub fn attach_stats_source(&self, source: Arc<dyn Fn() -> String + Send + Sync>) {
-        self.context
-            .extra_stats
-            .lock()
-            .expect("extra stats lock poisoned")
-            .push(source);
     }
 
     /// Gracefully shuts the server down: stops accepting, closes every
@@ -991,26 +885,51 @@ mod tests {
         }
     }
 
-    #[test]
-    fn stats_reports_the_live_cache_entry_gauge() {
-        let (server, _, x) = start_with_model();
-        let line = format!("SCORE risk {}", protocol::format_numbers(x.row(0)));
-        let responses = request(server.addr(), &[line, "STATS".to_string()]);
-        assert!(responses[1].contains("cache_entries=1"), "{}", responses[1]);
-        server.shutdown();
+    /// Parses a `METRICS` response line back into a scrape.
+    fn parse_metrics(response: &str) -> pfr_obs::Scrape {
+        let payload = response.strip_prefix("OK ").expect("METRICS answers OK");
+        pfr_obs::Scrape::parse(&pfr_obs::unescape_multiline(payload))
     }
 
     #[test]
-    fn transform_stats_and_errors_speak_the_protocol() {
+    fn metrics_report_the_live_gauges_and_shutdown_frees_the_context() {
+        // With a journal the recovery gauges register too. Every gauge
+        // reads the cache, the recovery slot or the stats through its own
+        // handle: capturing the context would form a cycle through the
+        // registry it owns.
+        let dir = std::env::temp_dir().join(format!("pfr_serve_gauges_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = Server::spawn(ServerConfig {
+            journal: Some(JournalConfig::new(&dir)),
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let (bundle, x) = toy_bundle();
+        let text = persistence::bundle_to_string(&bundle);
+        server.registry().load_from_str("risk", &text).unwrap();
+        let line = format!("SCORE risk {}", protocol::format_numbers(x.row(0)));
+        let responses = request(server.addr(), &[line, "METRICS".to_string()]);
+        let scrape = parse_metrics(&responses[1]);
+        assert_eq!(scrape.scalar("pfr_serve_cache_entries"), Some(1.0));
+        assert_eq!(scrape.scalar("pfr_serve_recovered_frames"), Some(0.0));
+        let context = Arc::downgrade(&server.context);
+        server.shutdown();
+        assert!(context.upgrade().is_none(), "the serving context leaked");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn transform_metrics_and_errors_speak_the_protocol() {
         let (server, _, x) = start_with_model();
         let responses = request(
             server.addr(),
             &[
                 format!("TRANSFORM risk {}", protocol::format_numbers(x.row(0))),
-                "STATS".to_string(),
+                "METRICS".to_string(),
                 "SCORE missing 1 2 3".to_string(),
                 "SCORE risk 1".to_string(),
                 "GIBBERISH".to_string(),
+                "STATS".to_string(),
             ],
         );
         // TRANSFORM returns dim() numbers.
@@ -1028,11 +947,18 @@ mod tests {
         for (a, b) in z.iter().zip(expected.row(0)) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        assert!(responses[1].starts_with("OK "));
-        assert!(responses[1].contains("score_requests="));
+        let scrape = parse_metrics(&responses[1]);
+        let transforms = scrape.scalar("pfr_serve_requests_total{verb=\"transform\"}");
+        assert_eq!(transforms, Some(1.0));
         assert!(responses[2].starts_with("ERR no model named"));
         assert!(responses[3].starts_with("ERR"), "{}", responses[3]);
         assert!(responses[4].starts_with("ERR") && responses[4].contains("unknown verb"));
+        // METRICS is the one telemetry verb; STATS is not a verb.
+        assert!(
+            responses[5].starts_with("ERR") && responses[5].contains("unknown verb 'STATS'"),
+            "{}",
+            responses[5]
+        );
         server.shutdown();
     }
 

@@ -3,21 +3,20 @@
 //!
 //! Each verb owns a [`LatencyHisto`] — a log-linear histogram recorded
 //! with relaxed atomics only, so the hot path stays lock-free while
-//! `STATS` and `METRICS` can report exact p50/p99/p999 instead of the
-//! mean that used to hide every bimodal batch/fsync/shed effect. Errors
-//! are broken down by kind (parse vs exec vs shed) rather than one
-//! undifferentiated counter.
+//! `METRICS` reports exact p50/p99/p999 next to `_sum`/`_count` (whose
+//! ratio is the mean). Errors are broken down by kind (parse vs exec vs
+//! shed) rather than one undifferentiated counter. Every counter here
+//! reaches the wire through [`ServerStats::register_metrics`] only.
 
-use pfr_obs::{LatencyHisto, MetricsRegistry, Snapshot};
+use pfr_obs::{LatencyHisto, MetricsRegistry};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// One verb's counters: request count, exec-error count, and the full
-/// latency distribution.
+/// One verb's counters: exec-error count and the full latency
+/// distribution, whose count is the request count.
 #[derive(Debug, Default)]
 pub struct VerbStats {
-    requests: AtomicU64,
     errors: AtomicU64,
     latency: Arc<LatencyHisto>,
 }
@@ -25,7 +24,6 @@ pub struct VerbStats {
 impl VerbStats {
     /// Records one completed request and its wall-clock latency. Lock-free.
     pub fn record(&self, latency: Duration, ok: bool) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
         if !ok {
             self.errors.fetch_add(1, Ordering::Relaxed);
         }
@@ -37,7 +35,7 @@ impl VerbStats {
 
     /// Number of requests seen.
     pub fn requests(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
+        self.latency.count()
     }
 
     /// Number of requests that returned an exec error.
@@ -45,22 +43,9 @@ impl VerbStats {
         self.errors.load(Ordering::Relaxed)
     }
 
-    /// Mean latency in nanoseconds (0 when no requests were seen).
-    pub fn mean_latency_nanos(&self) -> u64 {
-        self.latency
-            .sum()
-            .checked_div(self.latency.count())
-            .unwrap_or(0)
-    }
-
     /// The live latency histogram (shareable with a metrics registry).
     pub fn latency(&self) -> &Arc<LatencyHisto> {
         &self.latency
-    }
-
-    /// A point-in-time copy of the latency distribution.
-    pub fn latency_snapshot(&self) -> Snapshot {
-        self.latency.snapshot()
     }
 }
 
@@ -73,10 +58,11 @@ pub struct ServerStats {
     pub score: VerbStats,
     /// `TRANSFORM` verb counters.
     pub transform: VerbStats,
-    /// `STATS` verb counters.
-    pub stats: VerbStats,
+    /// `METRICS`/`TRACE` verb counters — telemetry reads, kept apart so
+    /// scraping cannot distort the data-path figures.
+    pub metrics: VerbStats,
     /// `HEALTH` verb counters (router probes land here, not under
-    /// `stats`, so probe traffic cannot distort the `STATS` figures).
+    /// `metrics`, so probe traffic cannot distort the scrape figures).
     pub health: VerbStats,
     /// `EPOCH` verb counters.
     pub epoch: VerbStats,
@@ -87,7 +73,7 @@ pub struct ServerStats {
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     batches: AtomicU64,
-    batched_requests: AtomicU64,
+    batched_rows: AtomicU64,
     max_batch: AtomicU64,
     connections: AtomicU64,
     sheds: AtomicU64,
@@ -115,8 +101,7 @@ impl ServerStats {
     /// Records one executed micro-batch of `size` coalesced requests.
     pub fn record_batch(&self, size: usize) {
         self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batched_requests
-            .fetch_add(size as u64, Ordering::Relaxed);
+        self.batched_rows.fetch_add(size as u64, Ordering::Relaxed);
         self.max_batch.fetch_max(size as u64, Ordering::Relaxed);
     }
 
@@ -148,18 +133,10 @@ impl ServerStats {
         self.slow_requests.load(Ordering::Relaxed)
     }
 
-    /// Marks one request as entering the serving path. Returns a guard that
-    /// decrements the gauge when dropped, so early returns and panics cannot
-    /// leak queue depth.
-    pub fn track_inflight(&self) -> InflightGuard<'_> {
-        self.inflight.fetch_add(1, Ordering::Relaxed);
-        InflightGuard { stats: self }
-    }
-
-    /// Raises the in-flight gauge without a guard — the reactor front end
-    /// tracks a request from parse to asynchronous completion, which no
-    /// borrow-scoped guard can span. Every `inflight_enter` must be paired
-    /// with exactly one [`ServerStats::inflight_exit`].
+    /// Raises the in-flight gauge — the reactor front end tracks a request
+    /// from parse to asynchronous completion, which no borrow-scoped guard
+    /// can span. Every `inflight_enter` must be paired with exactly one
+    /// [`ServerStats::inflight_exit`].
     pub(crate) fn inflight_enter(&self) {
         self.inflight.fetch_add(1, Ordering::Relaxed);
     }
@@ -190,6 +167,12 @@ impl ServerStats {
         self.batches.load(Ordering::Relaxed)
     }
 
+    /// Rows scored across all micro-batches; over [`ServerStats::batches`]
+    /// it is the mean batch size.
+    pub fn batched_rows(&self) -> u64 {
+        self.batched_rows.load(Ordering::Relaxed)
+    }
+
     /// Largest micro-batch executed.
     pub fn max_batch(&self) -> u64 {
         self.max_batch.load(Ordering::Relaxed)
@@ -213,19 +196,7 @@ impl ServerStats {
     /// Exec errors summed across verbs — the "exec" bucket of the
     /// error-kind breakdown.
     pub fn exec_errors(&self) -> u64 {
-        self.per_verb().iter().map(|(_, verb)| verb.errors()).sum()
-    }
-
-    fn per_verb(&self) -> [(&'static str, &VerbStats); 7] {
-        [
-            ("load", &self.load),
-            ("score", &self.score),
-            ("transform", &self.transform),
-            ("stats", &self.stats),
-            ("health", &self.health),
-            ("epoch", &self.epoch),
-            ("catalog", &self.catalog),
-        ]
+        VERBS.iter().map(|(_, pick)| pick(self).errors()).sum()
     }
 
     /// Registers every counter, gauge and per-verb latency histogram on
@@ -238,158 +209,106 @@ impl ServerStats {
                 registry.gauge($name, $labels, Arc::new(move || ($read)(&stats) as f64));
             }};
         }
-        for (name, verb) in self.per_verb() {
-            let requests = {
-                let stats = Arc::clone(self);
-                let pick = pick_verb(name);
-                Arc::new(move || pick(&stats).requests() as f64)
-                    as Arc<dyn Fn() -> f64 + Send + Sync>
-            };
-            registry.gauge("pfr_serve_requests_total", &[("verb", name)], requests);
-            let errors = {
-                let stats = Arc::clone(self);
-                let pick = pick_verb(name);
-                Arc::new(move || pick(&stats).errors() as f64) as Arc<dyn Fn() -> f64 + Send + Sync>
-            };
-            registry.gauge("pfr_serve_verb_errors_total", &[("verb", name)], errors);
+        for (name, pick) in VERBS {
+            let labels = &[("verb", name)];
+            gauge!("pfr_serve_requests_total", labels, |s| pick(s).requests());
+            gauge!("pfr_serve_verb_errors_total", labels, |s| pick(s).errors());
             registry.histogram(
                 "pfr_serve_latency_ns",
-                &[("verb", name)],
-                Arc::clone(verb.latency()),
+                labels,
+                Arc::clone(pick(self).latency()),
             );
         }
         gauge!(
             "pfr_serve_errors_total",
             &[("kind", "parse")],
-            |s: &ServerStats| s.parse_errors()
+            ServerStats::parse_errors
         );
         gauge!(
             "pfr_serve_errors_total",
             &[("kind", "exec")],
-            |s: &ServerStats| s.exec_errors()
+            ServerStats::exec_errors
         );
         gauge!(
             "pfr_serve_errors_total",
             &[("kind", "shed")],
-            |s: &ServerStats| s.sheds()
+            ServerStats::sheds
         );
-        gauge!("pfr_serve_cache_hits_total", &[], |s: &ServerStats| s
-            .cache_hits());
-        gauge!("pfr_serve_cache_misses_total", &[], |s: &ServerStats| s
-            .cache_misses());
-        gauge!("pfr_serve_batches_total", &[], |s: &ServerStats| s
-            .batches());
-        gauge!("pfr_serve_max_batch", &[], |s: &ServerStats| s.max_batch());
-        gauge!("pfr_serve_connections_total", &[], |s: &ServerStats| s
-            .connections());
-        gauge!("pfr_serve_sheds_total", &[], |s: &ServerStats| s.sheds());
-        gauge!("pfr_serve_inflight", &[], |s: &ServerStats| s.queue_depth());
-        gauge!("pfr_serve_slow_requests_total", &[], |s: &ServerStats| s
-            .slow_requests());
-    }
-
-    /// Renders the whole snapshot as a single `key=value` line — the payload
-    /// of a `STATS` response. Includes score-path tail latencies from the
-    /// histogram next to the legacy means.
-    pub fn to_line(&self) -> String {
-        let batches = self.batches.load(Ordering::Relaxed);
-        let batched = self.batched_requests.load(Ordering::Relaxed);
-        let mean_batch = batched.checked_div(batches).unwrap_or(0);
-        let score = self.score.latency_snapshot();
-        format!(
-            "connections={} sheds={} errors_parse={} errors_exec={} errors_shed={} \
-             load_requests={} load_errors={} load_mean_ns={} \
-             score_requests={} score_errors={} score_mean_ns={} \
-             score_p50_ns={} score_p99_ns={} score_p999_ns={} \
-             transform_requests={} transform_errors={} transform_mean_ns={} \
-             stats_requests={} health_requests={} epoch_requests={} \
-             catalog_requests={} \
-             cache_hits={} cache_misses={} \
-             batches={} mean_batch={} max_batch={}",
-            self.connections(),
-            self.sheds(),
-            self.parse_errors(),
-            self.exec_errors(),
-            self.sheds(),
-            self.load.requests(),
-            self.load.errors(),
-            self.load.mean_latency_nanos(),
-            self.score.requests(),
-            self.score.errors(),
-            self.score.mean_latency_nanos(),
-            score.p50(),
-            score.p99(),
-            score.p999(),
-            self.transform.requests(),
-            self.transform.errors(),
-            self.transform.mean_latency_nanos(),
-            self.stats.requests(),
-            self.health.requests(),
-            self.epoch.requests(),
-            self.catalog.requests(),
-            self.cache_hits(),
-            self.cache_misses(),
-            batches,
-            mean_batch,
-            self.max_batch(),
-        )
+        gauge!("pfr_serve_cache_hits_total", &[], ServerStats::cache_hits);
+        gauge!(
+            "pfr_serve_cache_misses_total",
+            &[],
+            ServerStats::cache_misses
+        );
+        gauge!("pfr_serve_batches_total", &[], ServerStats::batches);
+        gauge!(
+            "pfr_serve_batched_rows_total",
+            &[],
+            ServerStats::batched_rows
+        );
+        gauge!("pfr_serve_max_batch", &[], ServerStats::max_batch);
+        gauge!("pfr_serve_connections_total", &[], ServerStats::connections);
+        gauge!("pfr_serve_sheds_total", &[], ServerStats::sheds);
+        gauge!("pfr_serve_inflight", &[], ServerStats::queue_depth);
+        gauge!(
+            "pfr_serve_slow_requests_total",
+            &[],
+            ServerStats::slow_requests
+        );
     }
 }
 
-/// Maps a verb name back to its `VerbStats` field — lets the registry
-/// closures stay `'static` while borrowing through the shared `Arc`.
-fn pick_verb(name: &str) -> fn(&ServerStats) -> &VerbStats {
-    match name {
-        "load" => |s| &s.load,
-        "score" => |s| &s.score,
-        "transform" => |s| &s.transform,
-        "stats" => |s| &s.stats,
-        "health" => |s| &s.health,
-        "epoch" => |s| &s.epoch,
-        "catalog" => |s| &s.catalog,
-        other => unreachable!("unknown verb '{other}'"),
-    }
-}
+/// Reads one verb's counters out of the shared stats.
+type PickVerb = fn(&ServerStats) -> &VerbStats;
 
-/// RAII guard for the in-flight request gauge (see
-/// [`ServerStats::track_inflight`]).
-#[derive(Debug)]
-pub struct InflightGuard<'a> {
-    stats: &'a ServerStats,
-}
-
-impl Drop for InflightGuard<'_> {
-    fn drop(&mut self) {
-        self.stats.inflight.fetch_sub(1, Ordering::Relaxed);
-    }
-}
+/// Every verb bucket under its `verb="…"` label — the one table the
+/// registry gauges and the exec-error sum walk. Plain function pointers
+/// keep the registered closures `'static` while they read through the
+/// shared `Arc`.
+const VERBS: [(&str, PickVerb); 7] = [
+    ("load", |s| &s.load),
+    ("score", |s| &s.score),
+    ("transform", |s| &s.transform),
+    ("metrics", |s| &s.metrics),
+    ("health", |s| &s.health),
+    ("epoch", |s| &s.epoch),
+    ("catalog", |s| &s.catalog),
+];
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Renders `stats` through a fresh registry and parses it back.
+    fn scrape(stats: &Arc<ServerStats>) -> pfr_obs::Scrape {
+        let registry = MetricsRegistry::new();
+        stats.register_metrics(&registry);
+        pfr_obs::Scrape::parse(&registry.render())
+    }
+
     #[test]
-    fn inflight_gauge_rises_and_falls_with_guards() {
-        let s = ServerStats::new();
+    fn inflight_gauge_rises_and_falls_with_enter_and_exit() {
+        let s = Arc::new(ServerStats::new());
         assert_eq!(s.queue_depth(), 0);
-        let a = s.track_inflight();
-        let b = s.track_inflight();
+        s.inflight_enter();
+        s.inflight_enter();
         assert_eq!(s.queue_depth(), 2);
-        drop(a);
+        assert_eq!(scrape(&s).scalar("pfr_serve_inflight"), Some(2.0));
+        s.inflight_exit();
         assert_eq!(s.queue_depth(), 1);
-        drop(b);
+        s.inflight_exit();
         assert_eq!(s.queue_depth(), 0);
     }
 
     #[test]
     fn verb_stats_accumulate_and_average() {
         let v = VerbStats::default();
-        assert_eq!(v.mean_latency_nanos(), 0);
+        assert_eq!(v.latency().snapshot().mean(), 0);
         v.record(Duration::from_nanos(100), true);
         v.record(Duration::from_nanos(300), false);
         assert_eq!(v.requests(), 2);
         assert_eq!(v.errors(), 1);
-        assert_eq!(v.mean_latency_nanos(), 200);
+        assert_eq!(v.latency().snapshot().mean(), 200);
     }
 
     #[test]
@@ -399,7 +318,7 @@ mod tests {
             v.record(Duration::from_nanos(1_000), true);
         }
         v.record(Duration::from_micros(100), true);
-        let snap = v.latency_snapshot();
+        let snap = v.latency().snapshot();
         assert_eq!(snap.count, 100);
         // p50 sits at the common case, p999 catches the outlier the old
         // mean-only accumulation averaged away.
@@ -409,7 +328,7 @@ mod tests {
 
     #[test]
     fn error_kinds_are_broken_down() {
-        let s = ServerStats::new();
+        let s = Arc::new(ServerStats::new());
         s.record_parse_error();
         s.record_parse_error();
         s.score.record(Duration::from_nanos(10), false);
@@ -417,63 +336,52 @@ mod tests {
         assert_eq!(s.parse_errors(), 2);
         assert_eq!(s.exec_errors(), 1);
         assert_eq!(s.sheds(), 1);
-        let line = s.to_line();
-        assert!(line.contains("errors_parse=2"));
-        assert!(line.contains("errors_exec=1"));
-        assert!(line.contains("errors_shed=1"));
+        let scrape = scrape(&s);
+        for (kind, want) in [("parse", 2.0), ("exec", 1.0), ("shed", 1.0)] {
+            let key = format!("pfr_serve_errors_total{{kind=\"{kind}\"}}");
+            assert_eq!(scrape.scalar(&key), Some(want), "{key}");
+        }
     }
 
     #[test]
-    fn batch_telemetry_tracks_mean_and_max() {
-        let s = ServerStats::new();
+    fn batch_telemetry_tracks_rows_and_max() {
+        let s = Arc::new(ServerStats::new());
         s.record_batch(1);
         s.record_batch(7);
         s.record_batch(4);
         assert_eq!(s.batches(), 3);
         assert_eq!(s.max_batch(), 7);
-        let line = s.to_line();
-        assert!(line.contains("batches=3"));
-        assert!(line.contains("mean_batch=4"));
-        assert!(line.contains("max_batch=7"));
-    }
-
-    #[test]
-    fn stats_line_is_single_line_key_value() {
-        let s = ServerStats::new();
-        s.record_cache_hit();
-        s.record_cache_miss();
-        s.record_connection();
-        s.score.record(Duration::from_micros(5), true);
-        let line = s.to_line();
-        assert!(!line.contains('\n'));
-        assert!(line.contains("cache_hits=1"));
-        assert!(line.contains("cache_misses=1"));
-        assert!(line.contains("connections=1"));
-        assert!(line.contains("score_requests=1"));
-        assert!(line.contains("score_p99_ns="));
-        for pair in line.split_whitespace() {
-            assert!(pair.contains('='), "malformed pair '{pair}'");
-        }
+        // Rows over batches is the mean batch size.
+        let scrape = scrape(&s);
+        assert_eq!(scrape.scalar("pfr_serve_batches_total"), Some(3.0));
+        assert_eq!(scrape.scalar("pfr_serve_batched_rows_total"), Some(12.0));
+        assert_eq!(scrape.scalar("pfr_serve_max_batch"), Some(7.0));
     }
 
     #[test]
     fn registered_metrics_render_per_verb_histograms() {
         let s = Arc::new(ServerStats::new());
         s.score.record(Duration::from_micros(3), true);
+        s.metrics.record(Duration::from_micros(1), true);
         s.record_cache_hit();
+        s.record_cache_miss();
+        s.record_connection();
         let registry = MetricsRegistry::new();
         s.register_metrics(&registry);
         let text = registry.render();
         assert!(text.contains("pfr_serve_requests_total{verb=\"score\"} 1\n"));
+        assert!(text.contains("pfr_serve_requests_total{verb=\"metrics\"} 1\n"));
         assert!(text.contains("pfr_serve_latency_ns_count{verb=\"score\"} 1\n"));
         assert!(text.contains("pfr_serve_latency_ns_p999{verb=\"score\"}"));
         assert!(text.contains("pfr_serve_errors_total{kind=\"parse\"} 0\n"));
         assert!(text.contains("pfr_serve_cache_hits_total 1\n"));
+        assert!(text.contains("pfr_serve_cache_misses_total 1\n"));
+        assert!(text.contains("pfr_serve_connections_total 1\n"));
+        assert!(!text.contains("verb=\"stats\""), "{text}");
     }
 
     #[test]
     fn counters_are_safe_under_concurrency() {
-        use std::sync::Arc;
         let s = Arc::new(ServerStats::new());
         let handles: Vec<_> = (0..4)
             .map(|_| {
@@ -491,6 +399,6 @@ mod tests {
         }
         assert_eq!(s.cache_hits(), 4000);
         assert_eq!(s.score.requests(), 4000);
-        assert_eq!(s.score.latency_snapshot().count, 4000);
+        assert_eq!(s.score.latency().snapshot().count, 4000);
     }
 }

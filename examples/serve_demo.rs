@@ -20,7 +20,8 @@
 //! journal, the demo shifts the traffic distribution, and the worker
 //! detects the drift, warm-refits the model from the serving projection,
 //! shadow-scores the candidate on held-back traffic, and hot-swaps it back
-//! into the live server over the wire — all visible on the `STATS` line:
+//! into the live server over the wire — all visible on the `METRICS`
+//! scrape:
 //!
 //! ```text
 //! cargo run --release --example serve_demo -- --refit
@@ -56,6 +57,24 @@ fn fairness_graph(ds: &Dataset) -> SparseGraph {
         .collect();
     fairness::between_group_quantile_graph(ds.groups(), &scores, 5)
         .expect("fairness graph construction succeeds")
+}
+
+/// Scrapes `METRICS` over the wire (the multi-line exposition travels
+/// escaped onto one line) and prints the lines starting with any of
+/// `prefixes`.
+fn print_metrics(reader: &mut BufReader<TcpStream>, writer: &mut TcpStream, prefixes: &[&str]) {
+    writeln!(writer, "METRICS").expect("request writes");
+    let mut response = String::new();
+    reader.read_line(&mut response).expect("response reads");
+    let payload = response
+        .trim_end()
+        .strip_prefix("OK ")
+        .expect("METRICS answers OK");
+    for line in pfr::obs::unescape_multiline(payload).lines() {
+        if prefixes.iter().any(|p| line.starts_with(p)) {
+            println!("  {line}");
+        }
+    }
 }
 
 fn main() {
@@ -190,31 +209,26 @@ fn main() {
         total as f64 / elapsed.as_secs_f64()
     );
 
-    // 6. The server reports its own telemetry.
+    // 6. The server reports its own telemetry over the wire.
     let stream = TcpStream::connect(addr).expect("client connects");
     stream.set_nodelay(true).expect("nodelay sets");
     let mut reader = BufReader::new(stream.try_clone().expect("stream clones"));
     let mut writer = stream;
-    writeln!(writer, "STATS").expect("request writes");
-    let mut stats = String::new();
-    reader.read_line(&mut stats).expect("response reads");
-    println!("STATS -> {}", stats.trim_end());
+    println!("METRICS (scoring series) ->");
+    let series = [
+        "pfr_serve_requests_total{verb=\"score\"}",
+        "pfr_serve_latency_ns_p99{verb=\"score\"}",
+        "pfr_serve_cache_",
+        "pfr_serve_batch",
+        "pfr_serve_max_batch",
+    ];
+    print_metrics(&mut reader, &mut writer, &series);
 
-    // 6b. With `--metrics`: scrape the full exposition over the wire (the
-    //     `METRICS` verb answers `OK <payload>` with the multi-line text
-    //     escaped onto one line) and show the slowest sampled trace span.
+    // 6b. With `--metrics`: print the full exposition (every counter,
+    //     gauge and histogram) and show the slowest sampled trace span.
     if metrics_mode {
-        writeln!(writer, "METRICS").expect("request writes");
-        let mut response = String::new();
-        reader.read_line(&mut response).expect("response reads");
-        let payload = response
-            .trim_end()
-            .strip_prefix("OK ")
-            .expect("METRICS answers OK <payload>");
-        println!("METRICS ->");
-        for line in pfr::obs::unescape_multiline(payload).lines() {
-            println!("  {line}");
-        }
+        println!("METRICS (full exposition) ->");
+        print_metrics(&mut reader, &mut writer, &[""]);
         match server.traces().slowest() {
             Some(span) => {
                 println!("slowest sampled request:");
@@ -261,10 +275,8 @@ fn main() {
         )
         .expect("refit loop builds");
         let worker = RefitWorker::spawn(refit_loop);
-        // The worker's counters ride the server's own STATS line — and its
-        // gauges (cursor lag against the server's journal tip included)
-        // join the server's METRICS exposition.
-        server.attach_stats_source(worker.stats_source());
+        // The worker's gauges (cursor lag against the server's journal tip
+        // included) join the server's METRICS exposition.
         let journal_tip = {
             let stats = server
                 .journal()
@@ -335,21 +347,9 @@ fn main() {
             refit_stats.refits_gated(),
             refit_stats.refits_swapped(),
         );
-        writeln!(drift_writer, "STATS").expect("request writes");
-        let mut stats = String::new();
-        drift_reader.read_line(&mut stats).expect("response reads");
-        println!("STATS -> {}", stats.trim_end());
-        if metrics_mode {
-            println!("refit gauges riding the server's METRICS exposition:");
-            for line in server
-                .metrics()
-                .render()
-                .lines()
-                .filter(|l| l.starts_with("pfr_refit_"))
-            {
-                println!("  {line}");
-            }
-        }
+        println!("refit gauges riding the server's METRICS exposition:");
+        let series = ["pfr_refit_", "pfr_journal_seq"];
+        print_metrics(&mut drift_reader, &mut drift_writer, &series);
         worker.stop();
     }
 

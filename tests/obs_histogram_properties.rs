@@ -3,7 +3,9 @@
 //! relative-error bound of an exact sorted oracle, snapshot merging is
 //! indistinguishable from one recorder having seen both streams (the
 //! invariant the router's cluster-wide `METRICS` merge rests on), the
-//! exposition round-trips bucket-exactly through `Scrape::parse`, and
+//! exposition round-trips bucket-exactly through `Scrape::parse`, hostile
+//! exposition text (a peer's `METRICS` reply, which the router parses and
+//! merges) never panics the parser, the merge or a re-render, and
 //! concurrent recording loses no counts.
 
 use pfr::obs::{LatencyHisto, MetricsRegistry, Scrape, SUB};
@@ -16,6 +18,46 @@ use std::sync::Arc;
 /// log-linear layout's small decades untested.
 fn spread_magnitudes(raws: &[u64]) -> Vec<u64> {
     raws.iter().map(|&r| r >> (r % 57)).collect()
+}
+
+/// Applies one mutation, chosen by `op`, at byte `at`: a bit flip,
+/// truncation, line duplication, a huge number in the value position, or
+/// moving the line to the end (cumulative buckets go out of order).
+fn mutate(bytes: &mut Vec<u8>, op: u8, at: u64, seed: u64) {
+    if bytes.is_empty() {
+        return;
+    }
+    let i = (at % bytes.len() as u64) as usize;
+    let start = bytes[..i]
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .map_or(0, |p| p + 1);
+    let end = bytes[i..]
+        .iter()
+        .position(|&b| b == b'\n')
+        .map_or(bytes.len(), |p| i + p);
+    match op {
+        0 => bytes[i] ^= 1 << (seed % 8),
+        1 => bytes.truncate(i),
+        2 => {
+            let line: Vec<u8> = bytes[start..end].iter().copied().chain([b'\n']).collect();
+            bytes.splice(start..start, line);
+        }
+        3 => {
+            let value_at = bytes[start..end]
+                .iter()
+                .rposition(|&b| b == b' ')
+                .map_or(start, |p| start + p + 1);
+            // u64::MAX, a value past it, or a random one.
+            let huge = [u64::MAX.to_string(), format!("{seed}0"), seed.to_string()];
+            bytes.splice(value_at..end, huge[(seed % 3) as usize].bytes());
+        }
+        _ => {
+            let line: Vec<u8> = bytes.drain(start..end).collect();
+            bytes.push(b'\n');
+            bytes.extend(line);
+        }
+    }
 }
 
 /// Exact nearest-rank quantile of `sorted` (the oracle `Snapshot::quantile`
@@ -103,6 +145,38 @@ proptest! {
         prop_assert_eq!(&parsed.buckets, &original.buckets);
         prop_assert_eq!(parsed.count, original.count);
         prop_assert_eq!(parsed.sum, original.sum);
+    }
+
+    /// Mutated exposition text never panics `Scrape::parse`, merging the
+    /// result twice into the clean scrape, the merged quantiles or a
+    /// re-render; the unmutated text still round-trips bucket for bucket.
+    #[test]
+    fn hostile_exposition_never_panics_parse_merge_or_render(
+        raws in vec(0u64..u64::MAX, 0..120),
+        mutations in vec((0u8..5, 0u64..u64::MAX, 0u64..u64::MAX), 1..8),
+    ) {
+        let histo = Arc::new(LatencyHisto::new());
+        for &v in &spread_magnitudes(&raws) {
+            histo.record(v);
+        }
+        let registry = MetricsRegistry::new();
+        registry.histogram("pfr_prop_ns", &[("verb", "a")], Arc::clone(&histo));
+        registry.gauge("pfr_prop_inflight", &[], Arc::new(|| 3.0));
+        let clean = registry.render();
+        let mut merged = Scrape::parse(&clean);
+        let parsed = merged.histogram("pfr_prop_ns{verb=\"a\"}").expect("parsed back");
+        prop_assert_eq!(&parsed.buckets, &histo.snapshot().buckets);
+        let mut bytes = clean.into_bytes();
+        for &(op, at, seed) in &mutations {
+            mutate(&mut bytes, op, at, seed);
+        }
+        let hostile = Scrape::parse(&String::from_utf8_lossy(&bytes));
+        merged.merge(&hostile);
+        merged.merge(&hostile);
+        if let Some(snap) = merged.histogram("pfr_prop_ns{verb=\"a\"}") {
+            let _ = (snap.p50(), snap.p999(), snap.mean());
+        }
+        let _ = Scrape::parse(&merged.render());
     }
 }
 

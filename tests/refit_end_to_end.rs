@@ -13,7 +13,7 @@
 //!    the candidate back through the wire-level `PUSH` path.
 //! 5. Post-swap, served scores are **bitwise** equal to offline
 //!    predictions of the refreshed bundle, and the refit counters ride the
-//!    server's own `STATS` line.
+//!    server's own `METRICS` scrape.
 
 use pfr::core::persistence::{
     bundle_from_string, bundle_to_string, ClassifierSection, ModelBundle, StandardizerParams,
@@ -23,6 +23,7 @@ use pfr::graph::{fairness, KnnGraphBuilder};
 use pfr::journal::{FsyncPolicy, JournalConfig};
 use pfr::linalg::stats::Standardizer;
 use pfr::linalg::Matrix;
+use pfr::obs::{unescape_multiline, Scrape};
 use pfr::opt::{LogisticRegression, LogisticRegressionConfig};
 use pfr::refit::{GateConfig, RefitConfig, RefitLoop, RefitModelConfig, RefitStep, SwapTarget};
 use pfr::serve::{ServableModel, Server, ServerConfig};
@@ -166,12 +167,14 @@ fn drifted_traffic_triggers_gated_hot_swap_with_bitwise_consistency() {
     let mut refit =
         RefitLoop::new(config, &serving_text, SwapTarget::Backends(vec![addr])).unwrap();
 
-    // The refit counters ride the server's own STATS line.
+    // The refit counters ride the server's own METRICS scrape, cursor lag
+    // against the journal tip included.
     let stats = refit.stats();
-    server.attach_stats_source(Arc::new({
-        let stats = Arc::clone(&stats);
-        move || stats.to_line()
-    }));
+    let journal_tip = {
+        let journal = server.journal().expect("journaling").shared_stats();
+        Arc::new(move || journal.last_seq()) as Arc<dyn Fn() -> u64 + Send + Sync>
+    };
+    stats.register_metrics(server.metrics(), Some(journal_tip));
 
     // --- Phase 1: stationary traffic. No refit should trigger. -------------
     let stationary = traffic(160, 23, 0.0);
@@ -269,20 +272,23 @@ fn drifted_traffic_triggers_gated_hot_swap_with_bitwise_consistency() {
         assert_eq!(label, u8::from(expected_p >= offline.threshold()));
     }
 
-    // --- The STATS line carries the refit counters next to journal_seq. ----
-    let stats_line = roundtrip(&mut reader, &mut writer, "STATS");
-    assert!(
-        stats_line.contains("journal_seq="),
-        "missing journal stats: {stats_line}"
+    // --- METRICS carries the refit counters next to the journal tip. ------
+    let response = roundtrip(&mut reader, &mut writer, "METRICS");
+    let text = unescape_multiline(response.strip_prefix("OK ").expect("METRICS answers OK"));
+    let scrape = Scrape::parse(&text);
+    let journal_seq = scrape.scalar("pfr_journal_seq");
+    assert!(journal_seq.is_some(), "missing journal series:\n{text}");
+    assert_eq!(
+        scrape.scalar("pfr_refit_swapped_total"),
+        Some(1.0),
+        "missing refit series:\n{text}"
     );
-    assert!(
-        stats_line.contains("refits_swapped=1"),
-        "missing refit stats: {stats_line}"
+    assert_eq!(
+        scrape.scalar("pfr_refit_cursor_seq"),
+        Some(stats.cursor_seq() as f64),
+        "missing cursor position:\n{text}"
     );
-    assert!(
-        stats_line.contains("refit_cursor_seq="),
-        "missing cursor position: {stats_line}"
-    );
+    assert!(scrape.scalar("pfr_refit_cursor_seq") <= journal_seq);
 
     drop(reader);
     drop(writer);

@@ -8,17 +8,24 @@
 //! bitwise identical to both the pre-crash responses and offline
 //! `predict_proba`.
 //!
+//! The recovered server's `METRICS` scrape must then carry every serving,
+//! journal, recovery and (with a refit loop registered) refit series —
+//! the one telemetry surface an operator reads after a crash.
+//!
 //! Runs on a single reactor and on a 4-thread reactor pool, like the other
 //! end-to-end tests.
 
 use pfr::journal::JournalConfig;
+use pfr::obs::{unescape_multiline, Scrape};
 use pfr::pipeline::{FairPipeline, FairPipelineConfig};
+use pfr::refit::{RefitConfig, RefitLoop, SwapTarget};
 use pfr::serve::{Server, ServerConfig};
 use pfr_data::{synthetic, Dataset};
 use pfr_graph::{fairness, SparseGraph};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn fairness_graph(ds: &Dataset) -> SparseGraph {
     let scores: Vec<f64> = ds
@@ -167,17 +174,101 @@ fn hard_crash_then_journal_replay_restores_state(reactors: usize) {
     );
     assert_eq!(server_b.stats().cache_hits(), score_lines.len() as u64);
 
-    // STATS exposes the journal counters, and the re-scored traffic was
-    // itself journaled: the sequence advanced past the replayed history.
+    // A refit loop tails the same journal and registers its gauges on the
+    // recovered server's registry, cursor lag against the journal tip
+    // included.
+    let mut refit = RefitLoop::new(
+        RefitConfig::new(journal_dir.clone(), "admissions"),
+        &bundle_text,
+        SwapTarget::DryRun,
+    )
+    .unwrap();
+    let journal_tip = {
+        let stats = server_b.journal().expect("journaling").shared_stats();
+        Arc::new(move || stats.last_seq()) as Arc<dyn Fn() -> u64 + Send + Sync>
+    };
+    refit
+        .stats()
+        .register_metrics(server_b.metrics(), Some(journal_tip));
+    while refit.pump(64).unwrap() > 0 {}
+
+    // Unjournaled traffic that moves the remaining counters: a parse
+    // error, a failed LOAD (an exec error) and one request per probe verb.
     let (mut reader, mut writer) = connect(server_b.addr());
-    let stats_line = roundtrip(&mut reader, &mut writer, "STATS");
-    let journal_seq: u64 = stats_line
-        .split_whitespace()
-        .find_map(|pair| pair.strip_prefix("journal_seq="))
-        .unwrap_or_else(|| panic!("no journal_seq in '{stats_line}'"))
-        .parse()
-        .unwrap();
-    assert_eq!(journal_seq, 18, "10 replayed + 8 re-scored");
+    for line in [
+        "GIBBERISH",
+        "LOAD ghost /definitely/not/there",
+        "HEALTH",
+        "EPOCH admissions",
+        "CATALOG",
+    ] {
+        roundtrip(&mut reader, &mut writer, line);
+    }
+
+    // One METRICS scrape carries every serving, journal, recovery and
+    // refit series. The re-scored traffic was itself journaled: the
+    // sequence advanced past the replayed history.
+    let response = roundtrip(&mut reader, &mut writer, "METRICS");
+    let text = unescape_multiline(response.strip_prefix("OK ").expect("METRICS answers OK"));
+    let scrape = Scrape::parse(&text);
+    let exact: &[(&str, f64)] = &[
+        ("pfr_serve_connections_total", 2.0),
+        ("pfr_serve_sheds_total", 0.0),
+        ("pfr_serve_errors_total{kind=\"parse\"}", 1.0),
+        ("pfr_serve_errors_total{kind=\"exec\"}", 1.0),
+        ("pfr_serve_errors_total{kind=\"shed\"}", 0.0),
+        ("pfr_serve_requests_total{verb=\"score\"}", 8.0),
+        ("pfr_serve_verb_errors_total{verb=\"score\"}", 0.0),
+        ("pfr_serve_requests_total{verb=\"load\"}", 1.0),
+        ("pfr_serve_verb_errors_total{verb=\"load\"}", 1.0),
+        ("pfr_serve_requests_total{verb=\"transform\"}", 0.0),
+        ("pfr_serve_requests_total{verb=\"health\"}", 1.0),
+        ("pfr_serve_requests_total{verb=\"epoch\"}", 1.0),
+        ("pfr_serve_requests_total{verb=\"catalog\"}", 1.0),
+        ("pfr_serve_requests_total{verb=\"metrics\"}", 0.0),
+        ("pfr_serve_cache_hits_total", 8.0),
+        ("pfr_serve_cache_misses_total", 0.0),
+        ("pfr_serve_cache_entries", 4.0),
+        ("pfr_serve_batches_total", 0.0),
+        ("pfr_serve_batched_rows_total", 0.0),
+        ("pfr_serve_max_batch", 0.0),
+        ("pfr_journal_seq", 18.0),
+        ("pfr_journal_segments", 1.0),
+        ("pfr_journal_appends_total", 8.0),
+        ("pfr_journal_unsynced_bytes", 0.0),
+        ("pfr_serve_recovered_frames", 10.0),
+        ("pfr_serve_recovered_installs", 1.0),
+        ("pfr_serve_recovered_scores", 8.0),
+        ("pfr_serve_recovered_warmed", 4.0),
+        ("pfr_serve_recovered_skipped", 0.0),
+        ("pfr_serve_recovered_last_seq", 10.0),
+        ("pfr_serve_recovered_truncated_bytes", 0.0),
+        ("pfr_refit_cursor_seq", 18.0),
+        ("pfr_refit_caught_up", 1.0),
+        ("pfr_refit_cursor_lag", 0.0),
+    ];
+    for &(key, want) in exact {
+        assert_eq!(scrape.scalar(key), Some(want), "{key} in\n{text}");
+    }
+    assert!(scrape.scalar("pfr_journal_bytes") > Some(0.0), "{text}");
+    assert!(
+        scrape.scalar("pfr_journal_fsyncs_total") >= Some(1.0),
+        "{text}"
+    );
+    // Every refit counter, the cursor position, caught-up flag and lag.
+    let refit_series = text.lines().filter(|l| l.starts_with("pfr_refit_"));
+    assert_eq!(refit_series.count(), 11, "{text}");
+    // Per-verb latency: the mean is `_sum / _count`, the tails are the
+    // histogram's quantiles.
+    let score_latency = scrape
+        .histogram("pfr_serve_latency_ns{verb=\"score\"}")
+        .expect("score latency histogram");
+    assert_eq!(score_latency.count, 8);
+    assert!(score_latency.sum > 0 && score_latency.p999() >= score_latency.p50());
+    for verb in ["load", "transform", "health", "epoch", "catalog", "metrics"] {
+        let key = format!("pfr_serve_latency_ns{{verb=\"{verb}\"}}");
+        assert!(scrape.histogram(&key).is_some(), "no {key} in\n{text}");
+    }
 
     server_b.shutdown();
     let _ = std::fs::remove_dir_all(&journal_dir);

@@ -9,6 +9,7 @@
 //! bit-identical at every pool width, and keeping both runs in CI is what
 //! enforces that differential.
 
+use pfr::obs::{unescape_multiline, Scrape};
 use pfr::pipeline::{FairPipeline, FairPipelineConfig};
 use pfr::serve::{BatcherConfig, Server, ServerConfig};
 use pfr_data::{split, synthetic, Dataset};
@@ -142,29 +143,29 @@ fn concurrent_tcp_scores_match_offline_predictions_bitwise(reactors: usize) {
         }
     }
 
-    // --- STATS must report the traffic and at least one cache hit. ----------
+    // --- METRICS must report the traffic and at least one cache hit. --------
     let stream = TcpStream::connect(addr).unwrap();
     stream.set_nodelay(true).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut writer = stream;
-    let stats_line = roundtrip(&mut reader, &mut writer, "STATS");
-    assert!(stats_line.starts_with("OK "), "{stats_line}");
+    let response = roundtrip(&mut reader, &mut writer, "METRICS");
+    let payload = response.strip_prefix("OK ").expect("METRICS answers OK");
+    let text = unescape_multiline(payload);
+    let scrape = Scrape::parse(&text);
     let field = |key: &str| -> u64 {
-        stats_line
-            .split_whitespace()
-            .find_map(|pair| pair.strip_prefix(&format!("{key}=")))
-            .unwrap_or_else(|| panic!("no {key} in '{stats_line}'"))
-            .parse()
-            .unwrap()
+        scrape
+            .scalar(key)
+            .unwrap_or_else(|| panic!("no {key} in\n{text}")) as u64
     };
-    assert_eq!(field("score_requests"), 100);
-    assert_eq!(field("score_errors"), 0);
+    assert_eq!(field("pfr_serve_requests_total{verb=\"score\"}"), 100);
+    assert_eq!(field("pfr_serve_verb_errors_total{verb=\"score\"}"), 0);
+    let hits = field("pfr_serve_cache_hits_total");
     assert!(
-        field("cache_hits") >= 1,
-        "expected repeated requests to hit the cache: {stats_line}"
+        hits >= 1,
+        "expected repeated requests to hit the cache:\n{text}"
     );
-    assert!(field("cache_misses") <= 25 * 4 - field("cache_hits"));
-    assert!(field("batches") >= 1);
+    assert!(field("pfr_serve_cache_misses_total") <= 25 * 4 - hits);
+    assert!(field("pfr_serve_batches_total") >= 1);
     assert_eq!(roundtrip(&mut reader, &mut writer, "QUIT"), "OK bye");
 
     server.shutdown();
